@@ -16,11 +16,13 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .data import stable_hash_int
 from .errors import RagselError
 from .evaluation import normalize
 from .pipeline import fill_template, load_template, render_response
-from .retrieval import EmbeddingClient, tokenize
+from .retrieval import EmbeddingClient, Postings, tokenize, top_k_positions
 from .rgp import PreferenceInstance, Response
 
 SIM_LEXICAL = "lexical"
@@ -144,33 +146,37 @@ def mine_neighbors(
     if len(set(ids)) != len(ids):
         raise AugmentError("dataset carries duplicate query ids")
 
+    m = len(dataset)
     if mode == SIM_LEXICAL:
-        vectors = [_count_vector(inst.query) for inst in dataset]
-        sim_fn = _cosine_counts
+        tokens = [tokenize(inst.query) for inst in dataset]
+        postings = Postings.build(tokens)
+        # Integer squared norms, so sqrt rounds exactly as in _cosine_counts.
+        norms = np.sqrt(np.bincount(postings.rows, postings.tfs * postings.tfs, minlength=m))
+
+        def row_sims(i: int) -> np.ndarray:
+            dots = postings.dots(Counter(tokens[i]))
+            return np.divide(dots, norms[i] * norms, out=np.zeros(m), where=dots > 0)
+
     elif mode == SIM_EMBEDDING:
         if client is None:
             raise AugmentError("embedding similarity requires an EmbeddingClient")
         vectors = client.embed([inst.query for inst in dataset])
-        sim_fn = _cosine
+
+        def row_sims(i: int) -> np.ndarray:
+            return np.array([_cosine(vectors[i], other) for other in vectors])
+
     else:
         raise AugmentError(f"unknown similarity mode {mode!r}")
 
-    m = len(dataset)
-    sims: dict[tuple[int, int], float] = {}
-    for i in range(m):
-        for j in range(i + 1, m):
-            sims[(i, j)] = sim_fn(vectors[i], vectors[j])
-
+    id_rank = np.empty(m, dtype=np.int64)
+    id_rank[sorted(range(m), key=ids.__getitem__)] = np.arange(m)
+    k = min(k, m - 1)
     out: dict[str, NeighborSet] = {}
     for i in range(m):
-        scored = []
-        for j in range(m):
-            if j == i:
-                continue
-            sim = sims[(i, j) if i < j else (j, i)]
-            scored.append((ids[j], sim))
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        out[ids[i]] = NeighborSet(query_id=ids[i], neighbors=scored[:k])
+        sims = row_sims(i)
+        sims[i] = -np.inf
+        best = top_k_positions(sims, id_rank, k)
+        out[ids[i]] = NeighborSet(query_id=ids[i], neighbors=[(ids[j], float(sims[j])) for j in best])
     return out
 
 

@@ -30,7 +30,7 @@ from .data import load_qa_file
 from .errors import RagselError
 from .llm import Backend, CachedBackend, HttpBackend, ScriptedBackend
 from .manifest import write_manifest
-from .retrieval import Bm25Index, EmbeddingClient, RetrievalConfig, build_index
+from .retrieval import Bm25Index, EmbeddingClient, RetrievalConfig, build_index, index_files
 
 ENV_CONFIG_PATH = "SELECTOR_RAG_CONFIG"
 ENV_PREFIX = "SELECTOR_RAG_"
@@ -139,10 +139,6 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, ensure_ascii=False))
 
 
-def _index_inputs(index_dir: str) -> list[Path]:
-    return [Path(index_dir) / "index.json"]
-
-
 def cmd_corpus_ingest(args, settings: Settings, argv: list[str]) -> int:
     handle = corpus_mod.ingest(args.passages, args.out)
     write_manifest(
@@ -168,7 +164,7 @@ def cmd_index_build(args, settings: Settings, argv: list[str]) -> int:
         seeds={},
         inputs=handle.input_files() + settings.input_files(),
     )
-    _emit({"passages": index.N, "terms": len(index.postings), "out": str(args.out)})
+    _emit({"passages": index.N, "terms": len(index.postings.terms), "out": str(args.out)})
     return 0
 
 
@@ -198,7 +194,7 @@ def cmd_run(args, settings: Settings, argv: list[str]) -> int:
         if not args.index:
             raise RagselError(f"mode {args.mode} requires --index")
         index, corpus = _open_index_and_corpus(args)
-        inputs += _index_inputs(args.index) + corpus.input_files()
+        inputs += index_files(args.index) + corpus.input_files()
     budget = settings.get("budget", args.budget) or None
     records = pipeline.run_dataset(
         mode,
@@ -248,7 +244,7 @@ def cmd_rgp_build(args, settings: Settings, argv: list[str]) -> int:
         max_tokens=settings.get("max_tokens"),
     )
     rgp_mod.save_instances(instances, args.out)
-    inputs = [Path(args.qa)] + _index_inputs(args.index) + corpus.input_files()
+    inputs = [Path(args.qa)] + index_files(args.index) + corpus.input_files()
     if args.script:
         inputs.append(Path(args.script))
     write_manifest(

@@ -25,6 +25,7 @@ from .augment import DpoPair
 from .data import MalformedRecordError, read_jsonl, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
+from .pipeline import fill_template, load_template
 
 
 class DpoError(RagselError):
@@ -133,31 +134,41 @@ class ExportSummary:
         return {"total": self.total, "by_origin": self.by_origin, "path": self.path}
 
 
-def _validate_pair(pair: DpoPair, ordinal: int) -> None:
+def _slots(template: str, first: str, second: str) -> str:
+    """The stretch of a rendered selection prompt from the first candidate
+    slot through the second, filled with `first` and `second`."""
+    start, end = sorted((template.index("{candidate_1}"), template.index("{candidate_2}")))
+    return fill_template(template[start : end + len("{candidate_2}")], candidate_1=first, candidate_2=second)
+
+
+def _validate_pair(pair: DpoPair, ordinal: int, template: str) -> None:
     label = f"pair {ordinal} (queries {pair.source_query_ids})"
     if normalize(pair.chosen) == normalize(pair.rejected):
         raise DpoError(f"{label}: chosen and rejected normalize to the same text")
-    chosen_at = pair.prompt.find(pair.chosen)
-    rejected_at = pair.prompt.find(pair.rejected)
-    if chosen_at < 0 or rejected_at < 0:
-        raise DpoError(f"{label}: prompt does not embed both responses verbatim")
-    if pair.order == "chosen_first" and chosen_at > rejected_at:
-        raise DpoError(f"{label}: recorded order says chosen_first but prompt disagrees")
-    if pair.order == "rejected_first" and rejected_at > chosen_at:
-        raise DpoError(f"{label}: recorded order says rejected_first but prompt disagrees")
     if pair.order not in ("chosen_first", "rejected_first"):
         raise DpoError(f"{label}: unknown order {pair.order!r}")
+    chosen_first = _slots(template, pair.chosen, pair.rejected) in pair.prompt
+    rejected_first = _slots(template, pair.rejected, pair.chosen) in pair.prompt
+    if not (chosen_first or rejected_first):
+        raise DpoError(f"{label}: prompt does not embed both responses verbatim in its candidate slots")
+    if not (chosen_first if pair.order == "chosen_first" else rejected_first):
+        raise DpoError(f"{label}: recorded order says {pair.order} but prompt disagrees")
 
 
-def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> ExportSummary:
+def export_training_file(
+    pairs: Sequence[DpoPair], out_path: str | Path, *, select_template: str | None = None
+) -> ExportSummary:
     """Validate every pair, write the JSONL, and re-read it as a final check.
 
+    Each prompt must hold chosen and rejected in the candidate slots of
+    `select_template` (the packaged one by default), in the recorded order.
     Any invariant violation aborts before a single line is written.
     """
     if not pairs:
         raise DpoError("no pairs to export")
+    template = select_template if select_template is not None else load_template("select")
     for ordinal, pair in enumerate(pairs, start=1):
-        _validate_pair(pair, ordinal)
+        _validate_pair(pair, ordinal, template)
     out = Path(out_path)
     write_jsonl(out, (pair.to_dict() for pair in pairs))
     reread = load_pairs(out)

@@ -10,17 +10,26 @@ summed over the query tokens in order (a repeated query token contributes
 once per occurrence). This idf form is never negative, so every score is
 >= 0 and is 0 exactly when no query term occurs in the document. Documents
 scoring 0 are excluded from results rather than padded.
+
+Scoring is term-at-a-time over CSR postings (`Postings`): each query token
+adds its term into one float64 score vector, so every passage's score is
+the same sequence of IEEE operations as the per-document formula. An index
+directory holds `index.json` (format, version, k1, b, passage ids, terms)
+and one `.npy` file per array in `INDEX_ARRAYS`.
 """
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import math
 import os
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 import requests
@@ -30,7 +39,8 @@ from .errors import RagselError
 
 INDEX_FILE = "index.json"
 INDEX_FORMAT = "ragsel-bm25-index"
-INDEX_VERSION = 1
+INDEX_VERSION = 2
+INDEX_ARRAYS = ("term_ptr", "rows", "tfs", "doc_len")
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -94,76 +104,136 @@ class RetrievalResult:
         )
 
 
-class Bm25Index:
-    """Immutable inverted index over passage text (titles are not indexed)."""
+class Postings:
+    """Term-at-a-time CSR postings over a list of token lists ("rows").
 
-    def __init__(
-        self,
-        k1: float,
-        b: float,
-        doc_len: dict[str, int],
-        postings: dict[str, dict[str, int]],
-        corpus_path: str | None = None,
-    ):
+    Term t's rows are `rows[term_ptr[t]:term_ptr[t + 1]]`, ascending, with the
+    matching counts in `tfs`; `lengths` holds each row's token count. Terms are
+    numbered in order of first occurrence.
+    """
+
+    def __init__(self, terms: list[str], term_ptr: np.ndarray, rows: np.ndarray, tfs: np.ndarray,
+                 lengths: np.ndarray):
+        self.terms = terms
+        self.term_ptr = term_ptr
+        self.rows = rows
+        self.tfs = tfs
+        self.lengths = lengths
+        self._term_id = {term: t for t, term in enumerate(terms)}
+
+    @classmethod
+    def build(cls, token_lists: Sequence[list[str]]) -> "Postings":
+        n = len(token_lists)
+        vocab: dict[str, int] = {}
+        term_of = np.fromiter(
+            (vocab.setdefault(tok, len(vocab)) for toks in token_lists for tok in toks), dtype=np.int64
+        )
+        lengths = np.fromiter((len(toks) for toks in token_lists), dtype=np.int32, count=n)
+        keys, tfs = np.unique(term_of * n + np.repeat(np.arange(n), lengths), return_counts=True)
+        term_ptr = np.zeros(len(vocab) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys // n, minlength=len(vocab)), out=term_ptr[1:])
+        return cls(list(vocab), term_ptr, (keys % n).astype(np.int32), tfs.astype(np.int32), lengths)
+
+    def get(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
+        """(rows, counts) of one term, or None when no row holds it."""
+        t = self._term_id.get(term)
+        if t is None:
+            return None
+        lo, hi = self.term_ptr[t], self.term_ptr[t + 1]
+        return self.rows[lo:hi], self.tfs[lo:hi]
+
+    def dots(self, counts: dict[str, int]) -> np.ndarray:
+        """Dot product of a term-count vector with every row's count vector.
+
+        Float64, but exact: every value is an integer sum far below 2**53.
+        """
+        rows, weights = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int64)]
+        for term, count in counts.items():
+            hit = self.get(term)
+            if hit is not None:
+                rows.append(hit[0])
+                weights.append(hit[1] * count)
+        return np.bincount(np.concatenate(rows), np.concatenate(weights), minlength=len(self.lengths))
+
+
+def top_k_positions(scores: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
+    """Positions of the k highest scores, best first, equal scores by ascending rank."""
+    n = len(scores)
+    if 0 < k < n:
+        kth = np.partition(scores, n - k)[n - k]
+        keep = np.flatnonzero(scores >= kth)
+    else:
+        keep = np.arange(n)
+    return keep[np.lexsort((rank[keep], -scores[keep]))[:k]]
+
+
+class Bm25Index:
+    """Immutable inverted index over passage text (titles are not indexed).
+
+    Rows are passages in ascending id order, so a row number is also the
+    passage's tie-break rank.
+    """
+
+    def __init__(self, k1: float, b: float, ids: list[str], postings: Postings,
+                 corpus_path: str | None = None):
         self.k1 = k1
         self.b = b
-        self.doc_len = doc_len
+        self.ids = ids
         self.postings = postings
         self.corpus_path = corpus_path
-        self.N = len(doc_len)
-        self.avgdl = sum(doc_len.values()) / self.N if self.N else 0.0
+        self.N = len(ids)
+        dl = postings.lengths
+        self.avgdl = int(dl.sum()) / self.N if self.N else 0.0
+        # The same IEEE operations, in the same order, as the formula above.
+        self.norms = self.k1 * ((1.0 - self.b) + (self.b * dl) / self.avgdl) if self.avgdl else np.zeros(self.N)
 
-    def _score_doc(self, query_tokens: list[str], passage_id: str) -> float:
-        dl = self.doc_len[passage_id]
-        norm = self.k1 * (1.0 - self.b + self.b * dl / self.avgdl)
-        score = 0.0
+    def _scores(self, query_tokens: list[str]) -> np.ndarray:
+        scores = np.zeros(self.N)
         for term in query_tokens:
-            posting = self.postings.get(term)
-            if not posting:
+            hit = self.postings.get(term)
+            if hit is None:
                 continue
-            tf = posting.get(passage_id, 0)
-            if tf == 0:
-                continue
-            df = len(posting)
+            rows, tf = hit
+            df = len(rows)
             idf = math.log(1.0 + (self.N - df + 0.5) / (df + 0.5))
-            score += idf * tf * (self.k1 + 1.0) / (tf + norm)
-        return score
+            scores[rows] += idf * tf * (self.k1 + 1.0) / (tf + self.norms[rows])
+        return scores
 
     def score(self, query: str, passage_id: str) -> float:
         """BM25 score of one passage for a query; 0 iff no query term occurs."""
-        if passage_id not in self.doc_len:
+        row = bisect.bisect_left(self.ids, passage_id)
+        if row == self.N or self.ids[row] != passage_id:
             raise UnknownPassageError(passage_id)
-        return self._score_doc(tokenize(query), passage_id)
+        return float(self._scores(tokenize(query))[row])
 
     def retrieve(self, query: str, top_k: int) -> RetrievalResult:
         """Top-k positive-scoring passages, best first, ties by ascending id."""
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
-        query_tokens = tokenize(query)
-        candidates: set[str] = set()
-        for term in query_tokens:
-            posting = self.postings.get(term)
-            if posting:
-                candidates.update(posting)
-        scored = [(pid, self._score_doc(query_tokens, pid)) for pid in candidates]
-        scored = [(pid, s) for pid, s in scored if s > 0.0]
-        scored.sort(key=lambda item: (-item[1], item[0]))
-        return RetrievalResult(query=query, hits=scored[:top_k], retriever_tag="bm25")
+        scores = self._scores(tokenize(query))
+        rows = np.flatnonzero(scores > 0.0)
+        best = rows[top_k_positions(scores[rows], rows, top_k)]
+        return RetrievalResult(
+            query=query, hits=[(self.ids[r], float(scores[r])) for r in best], retriever_tag="bm25"
+        )
 
     def save(self, out_dir: str | Path) -> Path:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
-        payload = {
+        p = self.postings
+        for name, array in zip(INDEX_ARRAYS, (p.term_ptr, p.rows, p.tfs, p.lengths)):
+            np.save(out / f"{name}.npy", array, allow_pickle=False)
+        header = {
             "format": INDEX_FORMAT,
             "version": INDEX_VERSION,
             "k1": self.k1,
             "b": self.b,
             "corpus_path": self.corpus_path,
-            "doc_len": self.doc_len,
-            "postings": self.postings,
+            "ids": self.ids,
+            "terms": p.terms,
         }
         path = out / INDEX_FILE
-        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        path.write_text(json.dumps(header, ensure_ascii=False), encoding="utf-8")
         return path
 
     @classmethod
@@ -171,18 +241,38 @@ class Bm25Index:
         path = Path(index_dir) / INDEX_FILE
         if not path.exists():
             raise IndexFormatError(f"{index_dir} does not contain {INDEX_FILE}")
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if payload.get("format") != INDEX_FORMAT:
-            raise IndexFormatError(f"unrecognized index format {payload.get('format')!r}")
-        if payload.get("version") != INDEX_VERSION:
-            raise IndexFormatError(f"unsupported index version {payload.get('version')!r}")
+        header = json.loads(path.read_text(encoding="utf-8"))
+        if header.get("format") != INDEX_FORMAT:
+            raise IndexFormatError(f"unrecognized index format {header.get('format')!r}")
+        rebuild = "; rebuild it with `ragsel index build`"
+        if header.get("version") != INDEX_VERSION:
+            raise IndexFormatError(
+                f"index version {header.get('version')!r} is not supported "
+                f"(this release reads version {INDEX_VERSION}){rebuild}"
+            )
+        arrays = []
+        for file in index_files(index_dir)[1:]:
+            if not file.exists():
+                raise IndexFormatError(f"{index_dir} is missing {file.name}{rebuild}")
+            arrays.append(np.load(file, allow_pickle=False))
+        term_ptr, rows, tfs, lengths = arrays
+        ids, terms = header["ids"], header["terms"]
+        if not (len(term_ptr) == len(terms) + 1 and len(rows) == len(tfs) == term_ptr[-1]
+                and len(lengths) == len(ids)):
+            raise IndexFormatError(f"{index_dir} holds arrays of inconsistent sizes{rebuild}")
         return cls(
-            k1=payload["k1"],
-            b=payload["b"],
-            doc_len=payload["doc_len"],
-            postings=payload["postings"],
-            corpus_path=payload.get("corpus_path"),
+            k1=header["k1"],
+            b=header["b"],
+            ids=ids,
+            postings=Postings(terms, term_ptr, rows, tfs, lengths),
+            corpus_path=header.get("corpus_path"),
         )
+
+
+def index_files(index_dir: str | Path) -> list[Path]:
+    """Every file `Bm25Index.load` reads: the JSON header, then the arrays."""
+    root = Path(index_dir)
+    return [root / INDEX_FILE] + [root / f"{name}.npy" for name in INDEX_ARRAYS]
 
 
 def build_index(corpus: Corpus, config: RetrievalConfig | None = None) -> Bm25Index:
@@ -190,16 +280,13 @@ def build_index(corpus: Corpus, config: RetrievalConfig | None = None) -> Bm25In
     config = config or RetrievalConfig()
     if len(corpus) == 0:
         raise EmptyCorpusError("cannot index an empty corpus")
-    doc_len: dict[str, int] = {}
-    postings: dict[str, dict[str, int]] = {}
-    for passage in corpus:
-        tokens = tokenize(passage.text)
-        doc_len[passage.id] = len(tokens)
-        for term in tokens:
-            postings.setdefault(term, {})
-            postings[term][passage.id] = postings[term].get(passage.id, 0) + 1
+    docs = sorted(((passage.id, tokenize(passage.text)) for passage in corpus), key=itemgetter(0))
     return Bm25Index(
-        k1=config.k1, b=config.b, doc_len=doc_len, postings=postings, corpus_path=str(corpus.root)
+        k1=config.k1,
+        b=config.b,
+        ids=[pid for pid, _tokens in docs],
+        postings=Postings.build([tokens for _pid, tokens in docs]),
+        corpus_path=str(corpus.root),
     )
 
 

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from ragsel.cli import main
@@ -155,6 +156,34 @@ class TestEndToEnd:
         payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert payload["n_errors"] == 2  # even markers answered wrong by the internal arm
         assert abs(sum(payload["shares"].values()) - 1.0) < 1e-12
+
+
+class TestIndexProvenance:
+    def test_run_manifest_digests_every_index_file(self, tmp_path, capsys):
+        passages_path, qa_path, script_path = _desk_inputs(tmp_path)
+        corpus_dir, index_dir = tmp_path / "corpus", tmp_path / "index"
+        main(["corpus", "ingest", "--passages", str(passages_path), "--out", str(corpus_dir)])
+        capsys.readouterr()
+        assert main(["index", "build", "--corpus", str(corpus_dir), "--out", str(index_dir)]) == 0
+        built = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        # marker1..marker4, article, says, gadget, 1..4
+        assert (built["passages"], built["terms"]) == (4, 11)
+
+        def run_digests(name):
+            out = tmp_path / name
+            argv = ["run", "--mode", "self-select", "--qa", str(qa_path), "--index", str(index_dir),
+                    "--script", str(script_path), "--out", str(out)]
+            assert main(argv) == 0
+            return json.loads((tmp_path / f"{name}.manifest.json").read_text())["input_digests"]
+
+        first = run_digests("a.jsonl")
+        assert {p for p in first if p.startswith(str(index_dir))} == {
+            str(index_dir / name) for name in ("index.json", "term_ptr.npy", "rows.npy", "tfs.npy", "doc_len.npy")
+        }
+        tfs = index_dir / "tfs.npy"
+        np.save(tfs, np.load(tfs) + 1)
+        second = run_digests("b.jsonl")
+        assert {p for p in first if first[p] != second[p]} == {str(tfs)}
 
 
 class TestRgpAndDpoCommands:

@@ -218,6 +218,29 @@ class TestExport:
         with pytest.raises(DpoError, match="verbatim"):
             export_training_file([bad], tmp_path / "pairs.jsonl")
 
+    def test_order_is_read_from_the_candidate_slots(self, tmp_path):
+        # The rejected text also occurs in the question, ahead of both slots:
+        # the first occurrence of each response does not give their order.
+        chosen, rejected = "Explanation: good why\nAnswer: right", "Explanation: bad why\nAnswer: wrong"
+        prompt = f"Question: is '{rejected}' true?\n\nCandidate 1:\n{chosen}\n\nCandidate 2:\n{rejected}\n"
+        pair = _pair(chosen=chosen, rejected=rejected, order="rejected_first")
+        pair.prompt = prompt
+        out = tmp_path / "pairs.jsonl"
+        with pytest.raises(DpoError, match="rejected_first but prompt disagrees"):
+            export_training_file([pair], out)
+        assert not out.exists()
+        pair.order = "chosen_first"
+        assert export_training_file([pair], out).total == 1
+
+    def test_slots_follow_a_custom_select_template(self, tmp_path):
+        pair = _pair(order="rejected_first")
+        pair.prompt = f"q0 | {pair.rejected} | {pair.chosen}"
+        out = tmp_path / "pairs.jsonl"
+        with pytest.raises(DpoError, match="verbatim"):
+            export_training_file([pair], out)
+        template = "{question} | {candidate_1} | {candidate_2}"
+        assert export_training_file([pair], out, select_template=template).total == 1
+
     def test_loadable_by_plain_json_reader(self, tmp_path):
         out = tmp_path / "pairs.jsonl"
         export_training_file([_pair(0)], out)

@@ -15,8 +15,10 @@ from ragsel.retrieval import (
     IndexFormatError,
     RetrievalConfig,
     UnknownPassageError,
+    INDEX_VERSION,
     build_index,
     dense_retrieve,
+    index_files,
     tokenize,
 )
 
@@ -167,6 +169,39 @@ class TestBm25:
         assert loaded.retrieve("apple", 3).to_json() == index.retrieve("apple", 3).to_json()
         assert loaded.corpus_path == str(tiny_corpus.root)
 
+    def test_index_directory_layout(self, tiny_corpus, tmp_path):
+        build_index(tiny_corpus).save(tmp_path / "idx")
+        assert sorted(p.name for p in (tmp_path / "idx").iterdir()) == sorted(
+            p.name for p in index_files(tmp_path / "idx")
+        )
+        header = json.loads((tmp_path / "idx" / "index.json").read_text())
+        assert header["version"] == INDEX_VERSION == 2
+        assert header["ids"] == ["doc0", "doc1", "doc2"]
+        assert sorted(header["terms"]) == ["apple", "banana", "bread", "pie", "tart"]
+
+    def test_load_refuses_version_one(self, tmp_path):
+        (tmp_path / "index.json").write_text(
+            json.dumps(
+                {
+                    "format": "ragsel-bm25-index",
+                    "version": 1,
+                    "k1": 1.2,
+                    "b": 0.75,
+                    "corpus_path": None,
+                    "doc_len": {"doc0": 1},
+                    "postings": {"apple": {"doc0": 1}},
+                }
+            )
+        )
+        with pytest.raises(IndexFormatError, match="version 1.*ragsel index build"):
+            Bm25Index.load(tmp_path)
+
+    def test_load_refuses_missing_array(self, tiny_corpus, tmp_path):
+        build_index(tiny_corpus).save(tmp_path / "idx")
+        (tmp_path / "idx" / "rows.npy").unlink()
+        with pytest.raises(IndexFormatError, match="rows.npy.*ragsel index build"):
+            Bm25Index.load(tmp_path / "idx")
+
     def test_load_rejects_unknown_format(self, tmp_path):
         (tmp_path / "index.json").write_text(json.dumps({"format": "something-else"}))
         with pytest.raises(IndexFormatError):
@@ -201,6 +236,26 @@ class TestBm25Oracle:
                 assert index.retrieve(query, top_k).hits == brute_force_rank(
                     docs, query, 1.2, 0.75, top_k
                 )
+
+    def test_repeated_query_tokens_and_ties_at_the_cut(self, tmp_path):
+        # Every text repeats under several ids, so equal scores straddle the
+        # top-k boundary; queries repeat tokens, which count once per use.
+        rng = random.Random(5)
+        vocab = ["w0", "w1", "w2", "w3"]
+        boundary_ties = 0
+        for trial in range(8):
+            texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 5))) for _ in range(4)]
+            records = [{"id": f"d{i:02d}", "text": rng.choice(texts)} for i in range(rng.randint(8, 16))]
+            index = build_index(make_corpus(tmp_path, records, f"t{trial}"))
+            docs = {r["id"]: tokenize(r["text"]) for r in records}
+            for _ in range(4):
+                query = " ".join(rng.choices(vocab[:2], k=3) + rng.choices(vocab, k=2))
+                full = brute_force_rank(docs, query, 1.2, 0.75, len(records))
+                for top_k in range(1, len(full) + 1):
+                    assert index.retrieve(query, top_k).hits == full[:top_k]
+                    if top_k < len(full) and full[top_k - 1][1] == full[top_k][1]:
+                        boundary_ties += 1
+        assert boundary_ties > 0
 
     def test_ten_thousand_passage_build_is_fast(self, tmp_path):
         # Non-binding desk target: a 10^4-passage corpus indexes in seconds.
