@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Walkthrough: ingest a passage corpus and query it with the BM25 index.
 
-Everything happens in a temporary directory; run it from anywhere:
+Everything happens in a temporary directory, removed at the end; run it
+from anywhere:
 
     python demos/01_corpus_and_retrieval.py
 """
@@ -19,7 +20,8 @@ PASSAGES = [
     {"id": "p05", "title": "Moon", "text": "Neil Armstrong stepped onto the Moon in July 1969."},
 ]
 
-work = Path(tempfile.mkdtemp(prefix="ragsel-demo1-"))
+tmp = tempfile.TemporaryDirectory(prefix="ragsel-demo1-")
+work = Path(tmp.name)
 print(f"working directory: {work}\n")
 
 # 1. Ingest. The corpus directory stores the raw records, a byte-offset
@@ -48,3 +50,5 @@ index.save(work / "index")
 reloaded = Bm25Index.load(work / "index")
 assert reloaded.retrieve("apple", 3).to_json() == index.retrieve("apple", 3).to_json()
 print(f"\nindex saved and reloaded from {work / 'index'} — identical results")
+
+tmp.cleanup()

@@ -25,7 +25,8 @@ from ragsel import (
 from ragsel.evaluation import classify_errors
 from ragsel.pipeline import audit_selection
 
-work = Path(tempfile.mkdtemp(prefix="ragsel-demo2-"))
+tmp = tempfile.TemporaryDirectory(prefix="ragsel-demo2-")
+work = Path(tmp.name)
 
 # Questions share no vocabulary with other items' passages, so each query
 # retrieves exactly its own passage and the scripted replies cannot collide.
@@ -81,3 +82,5 @@ print("\nmemory-only error buckets:")
 for label in labels:
     print(f"  {label.item_id}: {label.category} (basis={label.basis})")
 print("shares:", {k: round(v, 2) for k, v in shares.items() if v})
+
+tmp.cleanup()

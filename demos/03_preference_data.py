@@ -25,7 +25,8 @@ from ragsel import (
 )
 from ragsel.augment import augment_dataset
 
-work = Path(tempfile.mkdtemp(prefix="ragsel-demo3-"))
+tmp = tempfile.TemporaryDirectory(prefix="ragsel-demo3-")
+work = Path(tmp.name)
 
 # Question wording shares no tokens with other items' passages, so each
 # query retrieves only its own passage and scripted replies cannot collide.
@@ -94,3 +95,5 @@ for i, _pair in enumerate(pairs):
 mean, per_pair = dataset_loss(records, DpoConfig(beta=0.1))
 print(f"mean forward loss at beta=0.1: {mean:.4f} over {len(per_pair)} pairs "
       f"(ln 2 = {math.log(2):.4f} would mean the policy has learned nothing)")
+
+tmp.cleanup()

@@ -234,13 +234,13 @@ class PromptSet:
 class SelectionRecord:
     id: str
     query: str
-    internal: CandidateResponse | None
-    grounded: CandidateResponse | None
-    final_answer: str
-    final_explanation: str
-    chosen_source: str  # internal | retrieval | neither
-    presentation_order: str  # internal_first | retrieval_first
-    passages_used: list[str]
+    internal: CandidateResponse | None = None
+    grounded: CandidateResponse | None = None
+    final_answer: str = ""
+    final_explanation: str = ""
+    chosen_source: str = CHOSEN_NEITHER  # internal | retrieval | neither
+    presentation_order: str = ORDER_INTERNAL_FIRST  # internal_first | retrieval_first
+    passages_used: list[str] = field(default_factory=list)
     selector_raw: str = ""
     error: str | None = None
 
@@ -320,6 +320,27 @@ def gen_rag_answer(
     return CandidateResponse.from_raw(response.text, SOURCE_RETRIEVAL), [p.id for p in kept]
 
 
+def gen_retrieved_answer(
+    backend: Backend,
+    prompts: PromptSet,
+    question: str,
+    index,
+    corpus,
+    top_k: int,
+    *,
+    budget: int | None = None,
+    max_tokens: int = 512,
+) -> tuple[CandidateResponse, list[str]] | None:
+    """Retrieve the top_k passages, fetch them and answer from them as
+    gen_rag_answer does. Returns None, with no backend call, when retrieval
+    finds nothing: each caller has its own policy for an item without passages.
+    """
+    passages = [corpus.get(pid) for pid, _score in index.retrieve(question, top_k).hits]
+    if not passages:
+        return None
+    return gen_rag_answer(backend, prompts, question, passages, budget=budget, max_tokens=max_tokens)
+
+
 def _match_choice(
     parsed_answer: str, first: CandidateResponse, second: CandidateResponse
 ) -> CandidateResponse | None:
@@ -383,36 +404,20 @@ def select(
     except ResponseParseError:
         explanation, answer = "", ""
     chosen = _match_choice(answer, first, second) if answer else None
-    if chosen is None:
-        return SelectionRecord(
-            id=item_id,
-            query=question,
-            internal=internal,
-            grounded=grounded,
-            final_answer=answer,
-            final_explanation=explanation,
-            chosen_source=CHOSEN_NEITHER,
-            presentation_order=order,
-            passages_used=list(passages_used),
-            selector_raw=response.text,
-        )
+    if chosen is not None:
+        answer, explanation = chosen.answer, chosen.explanation
     return SelectionRecord(
         id=item_id,
         query=question,
         internal=internal,
         grounded=grounded,
-        final_answer=chosen.answer,
-        final_explanation=chosen.explanation,
-        chosen_source=chosen.source,
+        final_answer=answer,
+        final_explanation=explanation,
+        chosen_source=chosen.source if chosen else CHOSEN_NEITHER,
         presentation_order=order,
         passages_used=list(passages_used),
         selector_raw=response.text,
     )
-
-
-def _retrieved_passages(index, corpus, question: str, top_k: int) -> list[Passage]:
-    result = index.retrieve(question, top_k)
-    return [corpus.get(pid) for pid, _score in result.hits]
 
 
 def run_dataset(
@@ -432,10 +437,11 @@ def run_dataset(
     """One SelectionRecord per QA pair, in input order, whatever happens.
 
     llm_only records carry no grounded candidate; standard_rag records carry
-    no internal candidate and the final answer is the grounded one. When
-    retrieval finds nothing for a retrieval mode, the grounded slot falls
-    back to the memory-only prompt and passages_used stays empty. Per-item
-    failures land in the record's error field and never abort the batch.
+    no internal candidate and the final answer is the grounded one, from
+    gen_retrieved_answer as in rgp.generate_candidates. When retrieval finds
+    nothing, the grounded slot falls back to the memory-only prompt and
+    passages_used stays empty. Per-item failures land in the record's error
+    field and never abort the batch.
     """
     if mode not in MODES:
         raise PipelineError(f"unknown mode {mode!r}")
@@ -443,7 +449,6 @@ def run_dataset(
         raise PipelineError(f"mode {mode} requires an index and a corpus")
 
     def one(qa: QAPair) -> SelectionRecord:
-        item_seed = stable_hash_int(order_seed, qa.id)
         try:
             if mode == MODE_LLM_ONLY:
                 cand = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)
@@ -451,26 +456,21 @@ def run_dataset(
                     id=qa.id,
                     query=qa.question,
                     internal=cand,
-                    grounded=None,
                     final_answer=cand.answer,
                     final_explanation=cand.explanation,
                     chosen_source=SOURCE_INTERNAL,
-                    presentation_order=ORDER_INTERNAL_FIRST,
-                    passages_used=[],
                 )
-            passages = _retrieved_passages(index, corpus, qa.question, top_k)
-            if passages:
-                grounded, used = gen_rag_answer(
-                    backend, prompts, qa.question, passages, budget=budget, max_tokens=max_tokens
-                )
-            else:
-                grounded = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)
-                used = []
+            retrieved = gen_retrieved_answer(
+                backend, prompts, qa.question, index, corpus, top_k,
+                budget=budget, max_tokens=max_tokens,
+            )
+            if retrieved is None:
+                retrieved = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens), []
+            grounded, used = retrieved
             if mode == MODE_STANDARD_RAG:
                 return SelectionRecord(
                     id=qa.id,
                     query=qa.question,
-                    internal=None,
                     grounded=grounded,
                     final_answer=grounded.answer,
                     final_explanation=grounded.explanation,
@@ -485,7 +485,7 @@ def run_dataset(
                 qa.question,
                 internal,
                 grounded,
-                item_seed,
+                stable_hash_int(order_seed, qa.id),
                 item_id=qa.id,
                 passages_used=used,
                 max_tokens=max_tokens,
@@ -494,13 +494,6 @@ def run_dataset(
             return SelectionRecord(
                 id=qa.id,
                 query=qa.question,
-                internal=None,
-                grounded=None,
-                final_answer="",
-                final_explanation="",
-                chosen_source=CHOSEN_NEITHER,
-                presentation_order=ORDER_INTERNAL_FIRST,
-                passages_used=[],
                 error=f"{type(exc).__name__}: {exc}",
             )
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -28,7 +28,7 @@ from .pipeline import (
     SOURCE_INTERNAL,
     SOURCE_RETRIEVAL,
     gen_llm_answer,
-    gen_rag_answer,
+    gen_retrieved_answer,
     load_template,
 )
 
@@ -49,9 +49,9 @@ class JudgeError(RgpError):
 @dataclass
 class CandidateBundle:
     qa: QAPair
-    internal: CandidateResponse | None
-    grounded: CandidateResponse | None
-    n_passages_used: int
+    internal: CandidateResponse | None = None
+    grounded: CandidateResponse | None = None
+    n_passages_used: int = 0
     error: str | None = None
 
     @property
@@ -64,7 +64,6 @@ class Judgment:
     internal_correct: bool
     grounded_correct: bool
     judge_tag: str  # lexical | llm
-    rationale: str = ""
 
 
 @dataclass
@@ -133,34 +132,22 @@ def generate_candidates(
 ) -> CandidateBundle:
     """Produce both candidates for one query.
 
-    rng_seed alone fixes how many passages the grounded candidate sees
-    (uniform on 1..5, capped by what retrieval returns). Generation failures
-    are recorded on the bundle instead of raised.
+    The grounded one comes from pipeline.gen_retrieved_answer, shared with
+    run_dataset; rng_seed alone fixes how many passages it sees (uniform on
+    1..5, capped by what retrieval returns). No passages, or a generation
+    failure, is recorded on the bundle as its error, which build quarantines.
     """
     n_requested = random.Random(rng_seed).randint(1, 5)
     try:
         internal = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)
-        hits = index.retrieve(qa.question, n_requested).hits
-        passages = [corpus.get(pid) for pid, _score in hits]
-        if not passages:
-            return CandidateBundle(
-                qa=qa,
-                internal=internal,
-                grounded=None,
-                n_passages_used=0,
-                error="no passages retrieved",
-            )
-        grounded, used = gen_rag_answer(
-            backend, prompts, qa.question, passages, max_tokens=max_tokens
+        retrieved = gen_retrieved_answer(
+            backend, prompts, qa.question, index, corpus, n_requested, max_tokens=max_tokens
         )
     except (GatewayError, RagselError) as exc:
-        return CandidateBundle(
-            qa=qa,
-            internal=None,
-            grounded=None,
-            n_passages_used=0,
-            error=f"{type(exc).__name__}: {exc}",
-        )
+        return CandidateBundle(qa=qa, error=f"{type(exc).__name__}: {exc}")
+    if retrieved is None:
+        return CandidateBundle(qa=qa, internal=internal, error="no passages retrieved")
+    grounded, used = retrieved
     return CandidateBundle(qa=qa, internal=internal, grounded=grounded, n_passages_used=len(used))
 
 
@@ -205,24 +192,6 @@ def judge(
     raise RgpError(f"unknown judge mode {mode!r}")
 
 
-def judge_bundle(
-    bundle: CandidateBundle,
-    *,
-    mode: str = JUDGE_LEXICAL,
-    backend: Backend | None = None,
-) -> Judgment:
-    assert bundle.internal is not None and bundle.grounded is not None
-    return Judgment(
-        internal_correct=judge(
-            bundle.internal.answer, bundle.qa.golden_answers, mode=mode, backend=backend
-        ),
-        grounded_correct=judge(
-            bundle.grounded.answer, bundle.qa.golden_answers, mode=mode, backend=backend
-        ),
-        judge_tag=mode,
-    )
-
-
 def filter_instance(bundle: CandidateBundle, judgment: Judgment) -> PreferenceInstance | None:
     """Keep only disagreements: exactly one candidate judged correct.
 
@@ -264,18 +233,7 @@ class BuildReport:
     judge_tag: str = JUDGE_LEXICAL
 
     def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "kept": self.kept,
-            "kept_positive_internal": self.kept_positive_internal,
-            "kept_positive_retrieval": self.kept_positive_retrieval,
-            "both_correct": self.both_correct,
-            "both_incorrect": self.both_incorrect,
-            "collision_dropped": self.collision_dropped,
-            "quarantined": self.quarantined,
-            "quarantine_reasons": self.quarantine_reasons,
-            "judge_tag": self.judge_tag,
-        }
+        return asdict(self)
 
 
 def build(
@@ -308,11 +266,15 @@ def build(
             report.quarantine_reasons.append(f"{qa.id}: {bundle.error}")
             continue
         try:
-            judgment = judge_bundle(bundle, mode=judge_mode, backend=judge_backend)
+            internal_correct, grounded_correct = (
+                judge(cand.answer, qa.golden_answers, mode=judge_mode, backend=judge_backend)
+                for cand in (bundle.internal, bundle.grounded)
+            )
         except JudgeError as exc:
             report.quarantined += 1
             report.quarantine_reasons.append(f"{qa.id}: {exc}")
             continue
+        judgment = Judgment(internal_correct, grounded_correct, judge_mode)
         instance = filter_instance(bundle, judgment)
         if instance is None:
             if judgment.internal_correct and judgment.grounded_correct:
