@@ -215,8 +215,8 @@ def classify_error(
             internal_ok = bool(judgment.internal_correct)
             grounded_ok = bool(judgment.grounded_correct)
         else:
-            internal_ok = bool(record.internal.answer) and accuracy(record.internal.answer, golds) == 1
-            grounded_ok = bool(record.grounded.answer) and accuracy(record.grounded.answer, golds) == 1
+            internal_ok = accuracy(record.internal.answer, golds) == 1
+            grounded_ok = accuracy(record.grounded.answer, golds) == 1
         if internal_ok != grounded_ok:
             wrong_side = "retrieval" if internal_ok else "internal"
             if record.chosen_source == wrong_side:

@@ -1,15 +1,18 @@
 """Generation backends behind one interface: an OpenAI-style chat HTTP
 endpoint for real runs, a scripted table for tests and offline runs, and a
-disk replay cache keyed by request fingerprint.
+disk replay cache keyed by request fingerprint. `_post_json` is the one HTTP
+transport; the chat backend and `retrieval.EmbeddingClient` both use it.
 
 Every failure maps to exactly one of: TransportError (network exhausted),
-StatusError (HTTP non-success or malformed completion payload),
-ScriptMissError (scripted backend has no matching key). Parsing of the
-completion text is the caller's problem, by design.
+StatusError (HTTP non-success, a reply that is not JSON, or a malformed
+completion payload), ScriptMissError (scripted backend has no matching key).
+The embedding client re-raises the first two as EmbeddingBackendError.
+Parsing of the completion text is the caller's problem, by design.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -151,14 +154,51 @@ class ScriptedBackend:
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
 
 
-class HttpBackend:
-    """OpenAI-style chat-completions client with bounded retries.
+def _post_json(url: str, body: dict, *, api_key_env: str | None = None, max_retries: int = 3,
+               backoff_base: float = 0.25, timeout: float = 60.0, slots: threading.Semaphore | None = None):
+    """POST `body` as JSON and return the decoded JSON reply: the one HTTP
+    transport of the chat and embedding clients.
 
-    Transient failures (connection errors, timeouts, 429/5xx) are retried up
-    to `max_retries` extra attempts with exponential backoff. Other HTTP
-    errors fail immediately with a StatusError. Concurrent callers share a
-    semaphore capping in-flight requests; each call returns its own response,
-    never another caller's.
+    A bearer token is sent when the variable named by `api_key_env` is set.
+    Connection errors, timeouts and 429/5xx are retried up to `max_retries`
+    more times with exponential backoff; other non-200 statuses fail at once.
+    `slots`, when given, caps the requests in flight across its sharers.
+    """
+    headers = {"Content-Type": "application/json"}
+    token = os.environ.get(api_key_env, "") if api_key_env else ""
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    last_transport, last_status = "unknown transport failure", None
+    for attempt in range(max_retries + 1):
+        if attempt:
+            time.sleep(backoff_base * (2 ** (attempt - 1)))
+        try:
+            with slots or contextlib.nullcontext():
+                resp = requests.post(url, json=body, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            last_transport, last_status = str(exc), None
+            continue
+        if resp.status_code in _RETRYABLE_STATUSES:
+            last_status = resp.status_code
+            continue
+        if resp.status_code != 200:
+            raise StatusError(resp.status_code, f"HTTP {resp.status_code} from {url}")
+        try:
+            return resp.json()
+        except ValueError as exc:
+            raise StatusError(200, f"malformed payload, not JSON: {exc}") from exc
+    attempts = max_retries + 1
+    if last_status is not None:
+        raise StatusError(last_status, f"HTTP {last_status} after {attempts} attempt(s)")
+    raise TransportError(attempts, last_transport)
+
+
+class HttpBackend:
+    """OpenAI-style chat-completions client over `_post_json`.
+
+    Transient failures are retried up to `max_retries` extra attempts.
+    Concurrent callers share a semaphore capping in-flight requests; each
+    call returns its own response, never another caller's.
     """
 
     def __init__(
@@ -180,14 +220,6 @@ class HttpBackend:
         self.tag = f"http:{model_name}"
         self._slots = threading.Semaphore(max_in_flight)
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key_env:
-            token = os.environ.get(self.api_key_env, "")
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
-        return headers
-
     def _body(self, request: GenRequest) -> dict:
         messages = []
         if request.system_prompt:
@@ -204,41 +236,18 @@ class HttpBackend:
         return body
 
     def complete(self, request: GenRequest) -> str:
-        attempts = 0
-        last_transport: str | None = None
-        last_status: int | None = None
-        while attempts <= self.max_retries:
-            if attempts:
-                time.sleep(self.backoff_base * (2 ** (attempts - 1)))
-            attempts += 1
-            try:
-                with self._slots:
-                    resp = requests.post(
-                        self.endpoint_url,
-                        json=self._body(request),
-                        headers=self._headers(),
-                        timeout=self.timeout,
-                    )
-            except requests.RequestException as exc:
-                last_transport = str(exc)
-                last_status = None
-                continue
-            if resp.status_code in _RETRYABLE_STATUSES:
-                last_status = resp.status_code
-                last_transport = None
-                continue
-            if resp.status_code != 200:
-                raise StatusError(resp.status_code, f"HTTP {resp.status_code} from {self.endpoint_url}")
-            try:
-                text = resp.json()["choices"][0]["message"]["content"]
-            except (ValueError, KeyError, IndexError, TypeError) as exc:
-                raise StatusError(200, f"malformed completion payload: {exc}") from exc
-            if not isinstance(text, str):
-                raise StatusError(200, "completion content is not text")
-            return text
-        if last_status is not None:
-            raise StatusError(last_status, f"HTTP {last_status} after {attempts} attempt(s)")
-        raise TransportError(attempts, last_transport or "unknown transport failure")
+        payload = _post_json(
+            self.endpoint_url, self._body(request), api_key_env=self.api_key_env,
+            max_retries=self.max_retries, backoff_base=self.backoff_base, timeout=self.timeout,
+            slots=self._slots,
+        )
+        try:
+            text = payload["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise StatusError(200, f"malformed completion payload: {exc}") from exc
+        if not isinstance(text, str):
+            raise StatusError(200, "completion content is not text")
+        return text
 
 
 class CachedBackend:

@@ -439,7 +439,8 @@ def run_dataset(
     llm_only records carry no grounded candidate; standard_rag records carry
     no internal candidate and the final answer is the grounded one, from
     gen_retrieved_answer as in rgp.generate_candidates. When retrieval finds
-    nothing, the grounded slot falls back to the memory-only prompt and
+    nothing, the grounded slot falls back to the memory-only answer (in
+    self_select, the internal candidate itself, with no second call) and
     passages_used stays empty. Per-item failures land in the record's error
     field and never abort the batch.
     """
@@ -464,10 +465,10 @@ def run_dataset(
                 backend, prompts, qa.question, index, corpus, top_k,
                 budget=budget, max_tokens=max_tokens,
             )
-            if retrieved is None:
-                retrieved = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens), []
-            grounded, used = retrieved
             if mode == MODE_STANDARD_RAG:
+                if retrieved is None:
+                    retrieved = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens), []
+                grounded, used = retrieved
                 return SelectionRecord(
                     id=qa.id,
                     query=qa.question,
@@ -479,6 +480,7 @@ def run_dataset(
                     passages_used=used,
                 )
             internal = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)
+            grounded, used = retrieved or (internal, [])
             return select(
                 backend,
                 prompts,

@@ -24,7 +24,6 @@ import bisect
 import hashlib
 import json
 import math
-import os
 import re
 from dataclasses import dataclass
 from operator import itemgetter
@@ -32,10 +31,10 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .corpus import Corpus
 from .errors import RagselError
+from .llm import StatusError, TransportError, _post_json
 
 INDEX_FILE = "index.json"
 INDEX_FORMAT = "ragsel-bm25-index"
@@ -291,7 +290,8 @@ def build_index(corpus: Corpus, config: RetrievalConfig | None = None) -> Bm25In
 
 
 class EmbeddingClient:
-    """HTTP client for an embedding endpoint.
+    """HTTP client for an embedding endpoint, over `llm._post_json` with its
+    default retry policy; every failure raises EmbeddingBackendError.
 
     Wire format: POST {"input": [str], "model": tag} -> {"embeddings": [[float]]}.
     Auth is a bearer token read from the environment variable named by
@@ -311,26 +311,18 @@ class EmbeddingClient:
         self.timeout = timeout
 
     def embed(self, texts: list[str]) -> list[list[float]]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key_env:
-            token = os.environ.get(self.api_key_env, "")
-            if token:
-                headers["Authorization"] = f"Bearer {token}"
+        body = {"input": texts, "model": self.model_tag}
         try:
-            resp = requests.post(
-                self.endpoint_url,
-                json={"input": texts, "model": self.model_tag},
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
+            payload = _post_json(self.endpoint_url, body, api_key_env=self.api_key_env, timeout=self.timeout)
+        except TransportError as exc:
             raise EmbeddingBackendError(f"embedding endpoint unreachable: {exc}") from exc
-        if resp.status_code != 200:
-            raise EmbeddingBackendError(f"embedding endpoint returned HTTP {resp.status_code}")
-        try:
-            vectors = resp.json()["embeddings"]
-        except (ValueError, KeyError) as exc:
-            raise EmbeddingBackendError("embedding endpoint returned a malformed payload") from exc
+        except StatusError as exc:
+            raise EmbeddingBackendError(f"embedding endpoint failed: {exc}") from exc
+        vectors = payload.get("embeddings") if isinstance(payload, dict) else None
+        if not isinstance(vectors, list) or not all(
+            isinstance(vec, list) and all(type(x) in (int, float) for x in vec) for vec in vectors
+        ):
+            raise EmbeddingBackendError("embedding endpoint returned a malformed payload")
         if len(vectors) != len(texts):
             raise EmbeddingBackendError(
                 f"embedding endpoint returned {len(vectors)} vectors for {len(texts)} inputs"

@@ -20,7 +20,7 @@ from typing import Sequence
 from .corpus import Corpus
 from .data import QAPair, read_jsonl, stable_hash_int, write_jsonl
 from .errors import RagselError
-from .evaluation import normalize
+from .evaluation import accuracy, normalize
 from .llm import Backend, GatewayError, GenRequest, generate
 from .pipeline import (
     CandidateResponse,
@@ -161,22 +161,16 @@ def judge(
 ) -> bool:
     """Is the candidate correct against the gold aliases?
 
-    Lexical mode: true iff the normalized candidate equals or contains any
-    normalized gold; an empty candidate (failed parse) counts as incorrect.
+    Lexical mode: evaluation.accuracy, true iff the normalized candidate
+    contains (or equals) some non-empty normalized gold; an empty candidate
+    (failed parse) counts as incorrect.
     LLM mode: a Yes/No verdict parsed from the judge backend's reply; an
     unparseable verdict raises JudgeError rather than guessing.
     """
     if not golden_answers:
         raise RgpError("golden_answers must be non-empty")
     if mode == JUDGE_LEXICAL:
-        cand = normalize(candidate_answer)
-        if not cand:
-            return False
-        for gold in golden_answers:
-            gold_n = normalize(gold)
-            if gold_n and (cand == gold_n or gold_n in cand):
-                return True
-        return False
+        return accuracy(candidate_answer, golden_answers) == 1
     if mode == JUDGE_LLM:
         if backend is None:
             raise RgpError("llm judge mode requires a backend")

@@ -15,14 +15,17 @@ from ragsel import corpus as corpus_mod
 class StubServer:
     """Local HTTP server that replays queued responses or calls a handler.
 
-    Every POST body is recorded in `requests`; `hits` counts network calls.
-    Queued responses are consumed in order and the last one repeats.
+    Every POST body is recorded in `requests` and its headers, with lowercased
+    names, in `headers`; `hits` counts network calls. Queued responses are
+    consumed in order and the last one repeats. A bytes body is sent as is,
+    anything else as JSON.
     """
 
     def __init__(self):
         self.requests: list[dict] = []
+        self.headers: list[dict[str, str]] = []
         self.hits = 0
-        self._queue: list[tuple[int, dict]] = []
+        self._queue: list[tuple[int, dict | list | bytes]] = []
         self._dynamic = None
         self._lock = threading.Lock()
 
@@ -35,13 +38,14 @@ class StubServer:
                 with stub._lock:
                     stub.hits += 1
                     stub.requests.append(payload)
+                    stub.headers.append({k.lower(): v for k, v in self.headers.items()})
                     if stub._dynamic is not None:
                         status, body = stub._dynamic(self.path, payload)
                     elif stub._queue:
                         status, body = stub._queue.pop(0) if len(stub._queue) > 1 else stub._queue[0]
                     else:
                         status, body = 200, {}
-                data = json.dumps(body).encode("utf-8")
+                data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
@@ -63,7 +67,7 @@ class StubServer:
         host, port = self._server.server_address
         return f"http://{host}:{port}/v1/chat/completions"
 
-    def enqueue(self, status: int, body: dict) -> None:
+    def enqueue(self, status: int, body: dict | list | bytes) -> None:
         self._queue.append((status, body))
 
     def set_handler(self, fn) -> None:

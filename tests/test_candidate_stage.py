@@ -14,7 +14,7 @@ import pytest
 from conftest import make_corpus
 from ragsel import rgp
 from ragsel.cli import main as cli_main
-from ragsel.data import QAPair
+from ragsel.data import QAPair, stable_hash_int
 from ragsel.llm import ScriptedBackend
 from ragsel.pipeline import (
     MODE_LLM_ONLY,
@@ -22,8 +22,10 @@ from ragsel.pipeline import (
     MODE_STANDARD_RAG,
     SOURCE_INTERNAL,
     PromptSet,
+    gen_llm_answer,
     gen_retrieved_answer,
     run_dataset,
+    select,
 )
 from ragsel.retrieval import build_index
 from test_acceptance import _desk_files
@@ -112,6 +114,42 @@ def test_self_select_with_empty_retrieval_uses_memory_twice(tmp_path):
     assert record.passages_used == []
     assert record.grounded.source == SOURCE_INTERNAL
     assert record.final_answer == "fallback"
+
+
+class _Spy:
+    """Records every prompt sent to the wrapped backend."""
+
+    tag = "spy"
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prompts = []
+
+    def complete(self, request):
+        self.prompts.append(request.user_prompt)
+        return self.inner.complete(request)
+
+
+def test_self_select_with_empty_retrieval_asks_memory_once(tmp_path):
+    corpus, index = _shared_topic(tmp_path)
+    prompts = PromptSet.default()
+    scripted = ScriptedBackend(
+        {
+            "using your own knowledge&&offtopic": "Explanation: memory. Answer: fallback",
+            "two candidate responses&&offtopic": "Explanation: same. Answer: fallback",
+        }
+    )
+    spy = _Spy(scripted)
+    qa = QAPair(id="q9", question="offtopic zzz", golden_answers=["fallback"])
+    (record,) = run_dataset(MODE_SELF_SELECT, [qa], spy, prompts, index=index, corpus=corpus)
+    assert len(spy.prompts) == 2
+    assert spy.prompts[0] == prompts.llm_only_prompt(qa.question)
+    assert "Candidate 2:" in spy.prompts[1]
+    # The same record as a separate memory-only call for the grounded slot gives.
+    internal = gen_llm_answer(scripted, prompts, qa.question)
+    grounded = gen_llm_answer(scripted, prompts, qa.question)
+    expected = select(scripted, prompts, qa.question, internal, grounded, stable_hash_int(0, qa.id), item_id=qa.id)
+    assert json.dumps(record.to_dict()) == json.dumps(expected.to_dict())
 
 
 def test_per_item_error_record_in_full():

@@ -232,6 +232,28 @@ class TestRgpAndDpoCommands:
         assert main(["dpo", "export", "--in", str(pairs), "--out", str(reexport)]) == 0
         assert reexport.read_bytes() == pairs.read_bytes()
 
+    def test_augment_with_a_malformed_embedding_reply_exits_one(self, tmp_path, http_stub, capsys):
+        instances = self._build_instances(tmp_path)
+        http_stub.enqueue(200, {"embeddings": None})
+        capsys.readouterr()
+        out = tmp_path / "pairs.jsonl"
+        code = main(
+            [
+                "rgp", "augment",
+                "--in", str(instances),
+                "--k", "1",
+                "--similarity", "embedding",
+                "--endpoint", http_stub.url,
+                "--seed", "5",
+                "--out", str(out),
+            ]
+        )
+        assert code == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err == {"error": "EmbeddingBackendError", "message": "embedding endpoint returned a malformed payload"}
+        assert http_stub.hits == 1
+        assert not out.exists()
+
     def test_rgp_llm_judge_mode(self, tmp_path, capsys):
         passages_path, qa_path, script_path = _desk_inputs(tmp_path)
         corpus_dir, index_dir = tmp_path / "corpus", tmp_path / "index"

@@ -361,7 +361,8 @@ class TestDenseRetrieve:
         with pytest.raises(EmbeddingBackendError, match="dimension mismatch"):
             dense_retrieve(client, corpus, "query", top_k=1, cache_dir=cache)
 
-    def test_endpoint_failure_carries_cause(self, tmp_path):
+    def test_endpoint_failure_carries_cause(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("ragsel.llm.time.sleep", lambda _seconds: None)
         corpus = make_corpus(tmp_path, [{"id": "p0", "text": "some text"}])
         client = EmbeddingClient("http://127.0.0.1:1/v1/embeddings", timeout=0.2)
         with pytest.raises(EmbeddingBackendError, match="unreachable"):
