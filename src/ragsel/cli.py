@@ -80,8 +80,6 @@ class Settings:
         env_value = os.environ.get(ENV_PREFIX + key.upper())
         if env_value is not None:
             value = env_value
-        if isinstance(default, bool):
-            return str(value).lower() in ("1", "true", "yes")
         if isinstance(default, int):
             return int(value)
         if isinstance(default, float):
@@ -89,7 +87,7 @@ class Settings:
         return str(value)
 
     def snapshot(self, keys: Sequence[str], args: argparse.Namespace) -> dict:
-        return {key: self.get(key, getattr(args, key.replace("-", "_"), None)) for key in keys}
+        return {key: self.get(key, getattr(args, key, None)) for key in keys}
 
     def input_files(self) -> list[Path]:
         return [self.config_path] if self.config_path else []

@@ -9,11 +9,14 @@ may open it concurrently.
 from __future__ import annotations
 
 import json
+import os
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
+from .data import MalformedRecordError, read_jsonl
 from .errors import RagselError
 
 PASSAGES_FILE = "passages.jsonl"
@@ -37,10 +40,7 @@ class EmptyTextError(CorpusError):
         self.ordinal = ordinal
 
 
-class MalformedPassageError(CorpusError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
+MalformedPassageError = MalformedRecordError
 
 
 class PassageNotFoundError(CorpusError):
@@ -79,36 +79,43 @@ class Corpus:
         offsets_path = self.root / OFFSETS_FILE
         if not offsets_path.exists():
             raise CorpusError(f"{self.root} is not a corpus directory (missing {OFFSETS_FILE})")
-        self._offsets: dict[str, int] = json.loads(offsets_path.read_text(encoding="utf-8"))
+        offsets: dict[str, int] = json.loads(offsets_path.read_text(encoding="utf-8"))
         raw = json.loads((self.root / STATS_FILE).read_text(encoding="utf-8"))
         self._stats = CorpusStats(
             passage_count=raw["passage_count"], total_tokens=raw["total_tokens"]
         )
+        # offsets.json lists ids in file order, so record i spans
+        # bounds[i]:bounds[i + 1], the last one ending at the file's end.
+        self._ordinal = {pid: i for i, pid in enumerate(offsets)}
+        fd = os.open(self.root / PASSAGES_FILE, os.O_RDONLY)
+        weakref.finalize(self, os.close, fd)
+        self._fd = fd
+        self._bounds = [*offsets.values(), os.fstat(fd).st_size]
 
     @property
     def stats(self) -> CorpusStats:
         return self._stats
 
     def __len__(self) -> int:
-        return len(self._offsets)
+        return len(self._ordinal)
 
     def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self._offsets
+        return passage_id in self._ordinal
 
     def ids(self) -> list[str]:
-        return list(self._offsets)
+        return list(self._ordinal)
 
     def get(self, passage_id: str) -> Passage:
-        offset = self._offsets.get(passage_id)
-        if offset is None:
+        i = self._ordinal.get(passage_id)
+        if i is None:
             raise PassageNotFoundError(passage_id)
-        with open(self.root / PASSAGES_FILE, "rb") as fh:
-            fh.seek(offset)
-            record = json.loads(fh.readline().decode("utf-8"))
+        # pread keeps no file position, so threads may share the descriptor.
+        start, end = self._bounds[i], self._bounds[i + 1]
+        record = json.loads(os.pread(self._fd, end - start, start))
         return Passage(id=record["id"], title=record.get("title", ""), text=record["text"])
 
     def __iter__(self) -> Iterator[Passage]:
-        for _line_no, record in _iter_records(self.root / PASSAGES_FILE):
+        for _line_no, record in read_jsonl(self.root / PASSAGES_FILE):
             yield Passage(id=record["id"], title=record.get("title", ""), text=record["text"])
 
     def input_files(self) -> list[Path]:
@@ -116,36 +123,17 @@ class Corpus:
         return [self.root / name for name in (PASSAGES_FILE, OFFSETS_FILE, STATS_FILE)]
 
 
-def _iter_records(path: Path) -> Iterator[tuple[int, dict]]:
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedPassageError(line_no, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise MalformedPassageError(line_no, "record is not an object")
-            yield line_no, obj
-
-
-def ingest(
-    source: str | Path | Iterable[dict],
-    out_dir: str | Path,
-    tokenizer: Callable[[str], list[str]] | None = None,
-) -> Corpus:
+def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:
     """Persist a stream of passage records and return a read handle.
 
     `source` is either a path to a JSONL file of {"id", "title"?, "text"}
-    records or an iterable of such dicts. The tokenizer is only used for the
-    stored token statistics and defaults to the retrieval tokenizer, so stats
-    and index always agree on token counts.
+    records or an iterable of such dicts. The stored token statistics count
+    with the retrieval tokenizer, so stats and index always agree on token
+    counts.
 
     Ingest is single-writer: it fails rather than amend an existing corpus.
     """
-    if tokenizer is None:
-        from .retrieval import tokenize as tokenizer  # avoids a module cycle
+    from .retrieval import tokenize  # avoids a module cycle
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -154,7 +142,7 @@ def ingest(
         raise CorpusError(f"{out} already contains a corpus; ingest will not overwrite it")
 
     if isinstance(source, (str, Path)):
-        records: Iterable[tuple[int, dict]] = _iter_records(Path(source))
+        records: Iterable[tuple[int, dict]] = read_jsonl(source)
     else:
         records = ((i, rec) for i, rec in enumerate(source, start=1))
 
@@ -177,7 +165,7 @@ def ingest(
             offsets[pid] = position
             fh.write(encoded)
             position += len(encoded)
-            total_tokens += len(tokenizer(text))
+            total_tokens += len(tokenize(text))
 
     stats = CorpusStats(passage_count=len(offsets), total_tokens=total_tokens)
     (out / OFFSETS_FILE).write_text(json.dumps(offsets), encoding="utf-8")

@@ -6,13 +6,16 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 from .errors import RagselError
 
 
+T = TypeVar("T")
+
+
 class MalformedRecordError(RagselError):
-    """A JSONL line could not be parsed or is missing required fields."""
+    """A JSONL line is not a JSON object, lacks a field, or holds a value its loader cannot use."""
 
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
@@ -53,23 +56,36 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     return n
 
 
+def read_records(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """`parse` applied to each record of a JSONL file, the one reader of every
+    JSONL input. A line `parse` cannot use is a MalformedRecordError naming the
+    line: a missing field (`KeyError`) or a bad value (`TypeError`, `ValueError`).
+    """
+    records = []
+    for line_no, obj in read_jsonl(path):
+        try:
+            records.append(parse(obj))
+        except KeyError as exc:
+            raise MalformedRecordError(line_no, f"missing field {exc.args[0]!r}") from exc
+        except (TypeError, ValueError) as exc:
+            raise MalformedRecordError(line_no, str(exc)) from exc
+    return records
+
+
 def load_qa_file(path: str | Path) -> list[QAPair]:
     """Load a QA JSONL file with fields id, question, golden_answers."""
-    pairs = []
     seen: set[str] = set()
-    for line_no, obj in read_jsonl(path):
-        for field in ("id", "question", "golden_answers"):
-            if field not in obj:
-                raise MalformedRecordError(line_no, f"missing field {field!r}")
-        golds = obj["golden_answers"]
+
+    def parse(obj: dict) -> QAPair:
+        qid, question, golds = str(obj["id"]), obj["question"], obj["golden_answers"]
         if not isinstance(golds, list) or not golds:
-            raise MalformedRecordError(line_no, "golden_answers must be a non-empty list")
-        qid = str(obj["id"])
+            raise ValueError("golden_answers must be a non-empty list")
         if qid in seen:
-            raise MalformedRecordError(line_no, f"duplicate qa id {qid!r}")
+            raise ValueError(f"duplicate qa id {qid!r}")
         seen.add(qid)
-        pairs.append(QAPair(id=qid, question=str(obj["question"]), golden_answers=[str(g) for g in golds]))
-    return pairs
+        return QAPair(id=qid, question=str(question), golden_answers=[str(g) for g in golds])
+
+    return read_records(path, parse)
 
 
 def stable_hash_int(*parts: Any) -> int:

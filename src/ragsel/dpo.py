@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .augment import DpoPair
-from .data import MalformedRecordError, read_jsonl, write_jsonl
+from .data import read_records, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
 from .pipeline import fill_template, load_template
@@ -107,21 +107,12 @@ _LOGPROB_FIELDS = (
 
 
 def load_logprob_file(path: str | Path) -> list[LogProbRecord]:
-    records = []
-    for line_no, obj in read_jsonl(path):
-        for fieldname in ("pair_id",) + _LOGPROB_FIELDS:
-            if fieldname not in obj:
-                raise MalformedRecordError(line_no, f"missing field {fieldname!r}")
-        try:
-            records.append(
-                LogProbRecord(
-                    pair_id=str(obj["pair_id"]),
-                    **{name: float(obj[name]) for name in _LOGPROB_FIELDS},
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise MalformedRecordError(line_no, str(exc)) from exc
-    return records
+    return read_records(
+        path,
+        lambda obj: LogProbRecord(
+            pair_id=str(obj["pair_id"]), **{name: float(obj[name]) for name in _LOGPROB_FIELDS}
+        ),
+    )
 
 
 @dataclass
@@ -181,10 +172,4 @@ def export_training_file(
 
 
 def load_pairs(path: str | Path) -> list[DpoPair]:
-    pairs = []
-    for line_no, obj in read_jsonl(path):
-        for fieldname in ("prompt", "chosen", "rejected", "order", "negative_origin", "source_query_ids"):
-            if fieldname not in obj:
-                raise MalformedRecordError(line_no, f"missing field {fieldname!r}")
-        pairs.append(DpoPair.from_dict(obj))
-    return pairs
+    return read_records(path, DpoPair.from_dict)

@@ -169,13 +169,6 @@ class ErrorLabel:
     basis: str = "heuristic"
 
 
-def _contains_gold(text: str | None, golds_n: list[str]) -> bool:
-    if not text:
-        return False
-    text_n = normalize(text)
-    return any(g and g in text_n for g in golds_n)
-
-
 def classify_error(
     record: "SelectionRecord", golds: Sequence[str], judgment=None
 ) -> ErrorLabel:
@@ -199,7 +192,6 @@ def classify_error(
     _require_golds(golds)
     if accuracy(record.final_answer, golds) != 0:
         raise EvaluationError(f"record {record.id!r} is not an error (acc=1)")
-    golds_n = [normalize(g) for g in golds]
     basis = "llm_judge" if judgment is not None and judgment.judge_tag == "llm" else "heuristic"
 
     if record.final_answer == "":
@@ -207,7 +199,7 @@ def classify_error(
         for candidate in (record.internal, record.grounded):
             if candidate is not None:
                 raws.append(candidate.raw_text)
-        if any(_contains_gold(raw, golds_n) for raw in raws):
+        if any(accuracy(raw, golds) == 1 for raw in raws):
             return ErrorLabel(record.id, CATEGORY_FORMATTING_ERROR, basis)
 
     if record.internal is not None and record.grounded is not None:
@@ -230,7 +222,7 @@ def classify_error(
         for candidate in (record.internal, record.grounded)
         if candidate is not None
     ]
-    if any(_contains_gold(expl, golds_n) for expl in explanations):
+    if any(accuracy(expl, golds) == 1 for expl in explanations):
         return ErrorLabel(record.id, CATEGORY_REASONING_ERROR, basis)
 
     return ErrorLabel(record.id, CATEGORY_LACK_OF_EVIDENCE, basis)

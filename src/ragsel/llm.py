@@ -24,7 +24,7 @@ from typing import Iterable, Protocol
 
 import requests
 
-from .data import read_jsonl
+from .data import read_records
 from .errors import RagselError
 
 
@@ -98,6 +98,12 @@ def _normalize_key(text: str) -> str:
     return " ".join(text.lower().split())
 
 
+def _script_row(row: dict) -> dict:
+    if not isinstance(row["match_key"], str) or not isinstance(row["reply"], str):
+        raise TypeError("match_key and reply must be strings")
+    return row
+
+
 class ScriptedBackend:
     """Deterministic table lookup standing in for a real model.
 
@@ -132,7 +138,7 @@ class ScriptedBackend:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "ScriptedBackend":
-        return cls(obj for _ln, obj in read_jsonl(path))
+        return cls(read_records(path, _script_row))
 
     def complete(self, request: GenRequest) -> str:
         hay = _normalize_key(request.user_prompt)

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Passage
-from .data import QAPair, read_jsonl, stable_hash_int, write_jsonl
+from .data import QAPair, read_records, stable_hash_int, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
 from .llm import Backend, GatewayError, GenRequest, generate
@@ -523,4 +523,4 @@ def save_records(records: Sequence[SelectionRecord], path: str | Path) -> int:
 
 
 def load_records(path: str | Path) -> list[SelectionRecord]:
-    return [SelectionRecord.from_dict(obj) for _ln, obj in read_jsonl(path)]
+    return read_records(path, SelectionRecord.from_dict)

@@ -77,13 +77,10 @@ class EmbeddingBackendError(RetrievalError):
 
 @dataclass(frozen=True)
 class RetrievalConfig:
-    top_k: int = 5
     k1: float = 1.2
     b: float = 0.75
 
     def __post_init__(self):
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
         if self.k1 <= 0:
             raise ValueError("k1 must be > 0")
         if not 0.0 <= self.b <= 1.0:
@@ -320,7 +317,8 @@ class EmbeddingClient:
             raise EmbeddingBackendError(f"embedding endpoint failed: {exc}") from exc
         vectors = payload.get("embeddings") if isinstance(payload, dict) else None
         if not isinstance(vectors, list) or not all(
-            isinstance(vec, list) and all(type(x) in (int, float) for x in vec) for vec in vectors
+            isinstance(vec, list) and all(type(x) in (int, float) and math.isfinite(x) for x in vec)
+            for vec in vectors
         ):
             raise EmbeddingBackendError("embedding endpoint returned a malformed payload")
         if len(vectors) != len(texts):

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus
-from .data import QAPair, read_jsonl, stable_hash_int, write_jsonl
+from .data import QAPair, read_records, stable_hash_int, write_jsonl
 from .errors import RagselError
 from .evaluation import accuracy, normalize
 from .llm import Backend, GatewayError, GenRequest, generate
@@ -107,6 +107,8 @@ class PreferenceInstance:
     @classmethod
     def from_dict(cls, obj: dict) -> "PreferenceInstance":
         meta = obj.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError("meta must be an object")
         return cls(
             query_id=str(meta.get("query_id", "")),
             query=obj["query"],
@@ -293,4 +295,4 @@ def save_instances(instances: Sequence[PreferenceInstance], path: str | Path) ->
 
 
 def load_instances(path: str | Path) -> list[PreferenceInstance]:
-    return [PreferenceInstance.from_dict(obj) for _ln, obj in read_jsonl(path)]
+    return read_records(path, PreferenceInstance.from_dict)

@@ -86,6 +86,53 @@ class TestUsage:
         assert "error" in err and "message" in err
 
 
+_QA_ROW = {"id": "q1", "question": "What about marker1?", "golden_answers": ["gadget 1"]}
+_INSTANCE_ROW = {
+    "query": "What about marker1?",
+    "golden": ["gadget 1"],
+    "positive": {"answer": "gadget 1"},
+    "negative": {"answer": "bogus 1", "explanation": "memory"},
+    "positive_source": "retrieval",
+}
+_PAIR_ROW = {
+    "prompt": "p",
+    "chosen": "gadget 1",
+    "rejected": "bogus 1",
+    "order": "chosen_first",
+    "negative_origin": "original",
+    "source_query_ids": 5,
+}
+
+
+@pytest.mark.parametrize(
+    "argv, bad_row",
+    [
+        (["eval", "--pred", "{bad}", "--qa", "{qa}"], {"id": "q1"}),
+        (["errors", "classify", "--pred", "{bad}", "--qa", "{qa}"], {"id": "q1"}),
+        (["rgp", "augment", "--in", "{bad}", "--k", "1"], _INSTANCE_ROW),
+        (
+            ["rgp", "augment", "--in", "{bad}", "--k", "1"],
+            {**_INSTANCE_ROW, "positive": {"answer": "gadget 1", "explanation": "x"}, "meta": "x"},
+        ),
+        (["dpo", "export", "--in", "{bad}"], _PAIR_ROW),
+        (["run", "--mode", "llm-only", "--qa", "{qa}", "--script", "{bad}"], {"match_key": "marker1"}),
+    ],
+    ids=["eval", "errors-classify", "rgp-augment", "rgp-augment-meta", "dpo-export", "run-script"],
+)
+def test_malformed_input_line_exits_one_with_json_error(tmp_path, capsys, argv, bad_row):
+    bad, qa, out = tmp_path / "bad.jsonl", tmp_path / "qa.jsonl", tmp_path / "out.json"
+    _write_jsonl(bad, [bad_row])
+    _write_jsonl(qa, [_QA_ROW])
+    code = main([arg.format(bad=bad, qa=qa) for arg in argv] + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = json.loads(err.strip().splitlines()[-1])
+    assert last["error"] == "MalformedRecordError"
+    assert last["message"].startswith("line 1: ")
+    assert not out.exists()
+
+
 class TestEndToEnd:
     def test_full_desk_pipeline(self, tmp_path, capsys):
         passages_path, qa_path, script_path = _desk_inputs(tmp_path)

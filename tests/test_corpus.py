@@ -1,4 +1,9 @@
+import builtins
 import json
+import os
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -66,6 +71,53 @@ def test_round_trip_preserves_multibyte_text(tmp_path):
     assert got.title == "tïtle"
     reopened = Corpus(tmp_path / "c")
     assert reopened.get("p1").text == text
+
+
+def _mixed_corpus(tmp_path):
+    rng = random.Random(7)
+    alphabet = "abc xyz Ö – „“ 🌍 ï ç 日本語"
+    records = [
+        {
+            "id": f"p{i}",
+            "title": f"t{i}" if i % 3 else "",
+            "text": "".join(rng.choices(alphabet, k=rng.randint(1, 80))) + ".",
+        }
+        for i in range(60)
+    ]
+    return ingest(records, tmp_path / "c")
+
+
+def test_get_matches_a_sequential_read_of_every_record(tmp_path):
+    handle = _mixed_corpus(tmp_path)
+    expected = list(handle)
+    assert [handle.get(p.id) for p in expected] == expected
+
+
+def test_get_from_eight_threads_at_once(tmp_path):
+    handle = _mixed_corpus(tmp_path)
+    expected = {p.id: p for p in handle}
+    orders = [random.Random(seed).sample(list(expected), len(expected)) * 20 for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(lambda ids: [(pid, handle.get(pid)) for pid in ids], orders, timeout=30))
+    finally:
+        sys.setswitchinterval(interval)
+    for got in results:
+        assert all(passage == expected[pid] for pid, passage in got)
+
+
+def test_get_opens_no_file(tmp_path, monkeypatch):
+    handle = _mixed_corpus(tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("get opened a file")
+
+    monkeypatch.setattr(builtins, "open", refuse)
+    monkeypatch.setattr(os, "open", refuse)
+    for i in range(100):
+        assert handle.get(f"p{i % 60}").id == f"p{i % 60}"
 
 
 def test_stats_match_brute_force(tmp_path):

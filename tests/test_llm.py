@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import chat_body
 from ragsel.llm import (
     CachedBackend,
+    GatewayError,
     GenRequest,
     HttpBackend,
     ScriptMissError,
@@ -51,6 +52,13 @@ class TestScriptedBackend:
         path.write_text(json.dumps({"match_key": "hello", "reply": "world"}) + "\n")
         backend = ScriptedBackend.from_jsonl(path)
         assert backend.complete(GenRequest(user_prompt="hello there")) == "world"
+
+    def test_from_jsonl_rejects_duplicate_keys(self, tmp_path):
+        path = tmp_path / "script.jsonl"
+        rows = [{"match_key": "hello", "reply": "a"}, {"match_key": "hello", "reply": "b"}]
+        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        with pytest.raises(GatewayError, match="duplicate match_key"):
+            ScriptedBackend.from_jsonl(path)
 
     def test_same_stream_same_replies(self):
         script = {"a": "ra", "b": "rb"}

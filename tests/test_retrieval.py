@@ -209,8 +209,6 @@ class TestBm25:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            RetrievalConfig(top_k=0)
-        with pytest.raises(ValueError):
             RetrievalConfig(b=1.5)
         with pytest.raises(ValueError):
             RetrievalConfig(k1=0)

@@ -58,6 +58,7 @@ class TestEmbeddingRetries:
         {"embeddings": [[True]]},
         {"embeddings": [{"0": 1.0}]},
         {"embeddings": [[1.0], [2.0]]},
+        b'{"embeddings": [[NaN, Infinity]]}',
     ],
     ids=repr,
 )
