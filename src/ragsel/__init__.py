@@ -34,7 +34,6 @@ from .retrieval import (
     RetrievalConfig,
     RetrievalResult,
     build_index,
-    dense_retrieve,
     tokenize,
 )
 from .rgp import CandidateBundle, Judgment, PreferenceInstance, build, filter_instance, judge
@@ -72,7 +71,6 @@ __all__ = [
     "build_index",
     "classify_error",
     "dataset_loss",
-    "dense_retrieve",
     "evaluate",
     "exact_match",
     "expand",

@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import stable_hash_int
+from .data import Record, stable_hash_int
 from .errors import RagselError
 from .evaluation import normalize
 from .pipeline import fill_template, load_template, render_response
@@ -53,34 +53,13 @@ class NeighborSet:
 
 
 @dataclass
-class DpoPair:
+class DpoPair(Record):
     prompt: str  # the rendered selection prompt embedding both responses
     chosen: str
     rejected: str
     order: str  # chosen_first | rejected_first
     negative_origin: str  # own_negative | neighbor_positive | neighbor_negative
     source_query_ids: tuple[str, str]  # (instance query, negative's origin query)
-
-    def to_dict(self) -> dict:
-        return {
-            "prompt": self.prompt,
-            "chosen": self.chosen,
-            "rejected": self.rejected,
-            "order": self.order,
-            "negative_origin": self.negative_origin,
-            "source_query_ids": list(self.source_query_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "DpoPair":
-        return cls(
-            prompt=obj["prompt"],
-            chosen=obj["chosen"],
-            rejected=obj["rejected"],
-            order=obj["order"],
-            negative_origin=obj["negative_origin"],
-            source_query_ids=tuple(obj["source_query_ids"]),
-        )
 
 
 def _count_vector(text: str) -> Counter:
@@ -244,7 +223,7 @@ def expand(
 
 
 @dataclass
-class AugmentReport:
+class AugmentReport(Record):
     instances: int = 0
     pairs: int = 0
     own_negative: int = 0
@@ -253,18 +232,6 @@ class AugmentReport:
     collision_dropped: int = 0
     chosen_first: int = 0
     rejected_first: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "instances": self.instances,
-            "pairs": self.pairs,
-            "own_negative": self.own_negative,
-            "neighbor_positive": self.neighbor_positive,
-            "neighbor_negative": self.neighbor_negative,
-            "collision_dropped": self.collision_dropped,
-            "chosen_first": self.chosen_first,
-            "rejected_first": self.rejected_first,
-        }
 
 
 def augment_dataset(

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+import types
+from dataclasses import dataclass, fields
+from functools import cache
+from operator import methodcaller
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from .errors import RagselError
 
@@ -20,6 +23,124 @@ class MalformedRecordError(RagselError):
     def __init__(self, line_no: int, reason: str):
         super().__init__(f"line {line_no}: {reason}")
         self.line_no = line_no
+
+
+class FieldTypeError(TypeError):
+    """A JSON value whose type does not match its Record field. `path` names
+    the field, dotted through nested records, outermost first."""
+
+    def __init__(self, expected: str, value: Any, *path: str):
+        super().__init__(expected, value)
+        self.path = list(path)
+        self.expected = expected
+        self.got = "null" if value is None else "object" if isinstance(value, dict) else type(value).__name__
+
+    def __str__(self) -> str:
+        return f"field {'.'.join(self.path)!r} must be {self.expected}, got {self.got}"
+
+
+R = TypeVar("R", bound="Record")
+
+
+class Record:
+    """Base for the dataclasses that are written to and read from JSON objects.
+
+    One codec, planned once per class from the field annotations. `to_dict`
+    gives every field in declaration order: a nested Record (alone, optional
+    or in a list) as its own `to_dict`, a tuple as a list, anything else as
+    it is. `from_dict` reads back exactly what `to_dict` writes. Every key is
+    required whatever the field's default, and a missing one is a KeyError
+    naming it. Each value must match its annotation, one of `str`, `int`
+    (not bool), `float` (an int or a float), `list[str]`, `tuple[str, str]`
+    (a JSON list of two), a nested Record, or `X | None`, or FieldTypeError
+    names the field. A class with a field of another type encodes but cannot
+    be decoded.
+    """
+
+    def to_dict(self) -> dict:
+        return {
+            name: getattr(self, name) if encode is None else encode(getattr(self, name))
+            for name, encode, _decode in _plan(type(self))
+        }
+
+    @classmethod
+    def from_dict(cls: type[R], obj: dict) -> R:
+        kwargs = {}
+        for name, _encode, decode in _plan(cls):
+            value = obj[name]
+            try:
+                kwargs[name] = decode(value)
+            except FieldTypeError as exc:
+                exc.path.insert(0, name)
+                raise
+            except KeyError as exc:  # a key missing inside a nested record
+                raise KeyError(f"{name}.{exc.args[0]}") from None
+        return cls(**kwargs)
+
+
+def _checked(expected: str, ok: Callable[[Any], bool], convert: Callable[[Any], Any] | None = None):
+    def decode(value):
+        if not ok(value):
+            raise FieldTypeError(expected, value)
+        return value if convert is None else convert(value)
+
+    return decode
+
+
+def _optional(decode_inner: Callable[[Any], Any]) -> Callable[[Any], Any]:
+    def decode(value):
+        if value is None:
+            return None
+        try:
+            return decode_inner(value)
+        except FieldTypeError as exc:
+            if not exc.path:  # the value itself, not a field nested in it
+                exc.expected += " or null"
+            raise
+
+    return decode
+
+
+def _undecodable(hint: Any) -> Callable[[Any], Any]:
+    def decode(value):
+        raise NotImplementedError(f"Record cannot decode a field of type {hint!r}")
+
+    return decode
+
+
+_DECODERS = {
+    str: _checked("str", lambda v: type(v) is str),
+    int: _checked("int", lambda v: type(v) is int),
+    float: _checked("float", lambda v: type(v) is float or type(v) is int),
+    list[str]: _checked("list of str", lambda v: type(v) is list and all(type(x) is str for x in v)),
+    tuple[str, str]: _checked(
+        "list of 2 str", lambda v: type(v) is list and len(v) == 2 and all(type(x) is str for x in v), tuple
+    ),
+}
+
+
+def _codec(hint: Any) -> tuple[Callable[[Any], Any] | None, Callable[[Any], Any]]:
+    """(encode, decode) for one field annotation; encode is None where the
+    value is written as it is."""
+    origin, args = get_origin(hint), get_args(hint)
+    if origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        encode, decode = _codec(args[0] if args[1] is type(None) else args[1])
+        return (None if encode is None else lambda v: None if v is None else encode(v)), _optional(decode)
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return methodcaller("to_dict"), _checked("object", lambda v: type(v) is dict, hint.from_dict)
+    if origin is list and isinstance(args[0], type) and issubclass(args[0], Record):
+        return _encode_records, _undecodable(hint)
+    return list if origin is tuple else None, _DECODERS.get(hint) or _undecodable(hint)
+
+
+def _encode_records(records: list[Record]) -> list[dict]:
+    return [record.to_dict() for record in records]
+
+
+@cache
+def _plan(cls: type[Record]) -> tuple[tuple[str, Callable[[Any], Any] | None, Callable[[Any], Any]], ...]:
+    hints = get_type_hints(cls)
+    return tuple((f.name, *_codec(hints[f.name])) for f in fields(cls))
 
 
 @dataclass
@@ -65,11 +186,14 @@ def read_records(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
     for line_no, obj in read_jsonl(path):
         try:
             records.append(parse(obj))
-        except KeyError as exc:
-            raise MalformedRecordError(line_no, f"missing field {exc.args[0]!r}") from exc
-        except (TypeError, ValueError) as exc:
-            raise MalformedRecordError(line_no, str(exc)) from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise MalformedRecordError(line_no, decode_failure(exc)) from exc
     return records
+
+
+def decode_failure(exc: KeyError | TypeError | ValueError) -> str:
+    """Why a record could not be decoded: a missing field or a bad value."""
+    return f"missing field {exc.args[0]!r}" if isinstance(exc, KeyError) else str(exc)
 
 
 def load_qa_file(path: str | Path) -> list[QAPair]:

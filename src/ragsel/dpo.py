@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .augment import DpoPair
-from .data import read_records, write_jsonl
+from .data import Record, read_records, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
 from .pipeline import fill_template, load_template
@@ -116,13 +116,10 @@ def load_logprob_file(path: str | Path) -> list[LogProbRecord]:
 
 
 @dataclass
-class ExportSummary:
+class ExportSummary(Record):
     total: int
     by_origin: dict[str, int]
     path: str
-
-    def to_dict(self) -> dict:
-        return {"total": self.total, "by_origin": self.by_origin, "path": self.path}
 
 
 def _slots(template: str, first: str, second: str) -> str:

@@ -17,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .data import QAPair
+from .data import QAPair, Record
 from .errors import RagselError
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only
@@ -94,7 +94,7 @@ def accuracy(pred: str, golds: Sequence[str]) -> int:
 
 
 @dataclass
-class ItemMetrics:
+class ItemMetrics(Record):
     item_id: str
     em: int
     f1: float
@@ -102,24 +102,12 @@ class ItemMetrics:
 
 
 @dataclass
-class MetricReport:
+class MetricReport(Record):
     em: float
     f1: float
     acc: float
     n: int
     per_item: list[ItemMetrics]
-
-    def to_dict(self) -> dict:
-        return {
-            "em": self.em,
-            "f1": self.f1,
-            "acc": self.acc,
-            "n": self.n,
-            "per_item": [
-                {"item_id": it.item_id, "em": it.em, "f1": it.f1, "acc": it.acc}
-                for it in self.per_item
-            ],
-        }
 
     def render(self) -> str:
         """One-line rendering with percentages to one decimal."""

@@ -12,30 +12,20 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .data import sha256_file
+from .data import Record, sha256_file
 
 ARTIFACT_VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.json"
 
 
 @dataclass
-class RunManifest:
+class RunManifest(Record):
     command_line: str
     config: dict
     seeds: dict
     input_digests: dict[str, str]
     artifact_version: str
     created_at: str
-
-    def to_dict(self) -> dict:
-        return {
-            "command_line": self.command_line,
-            "config": self.config,
-            "seeds": self.seeds,
-            "input_digests": self.input_digests,
-            "artifact_version": self.artifact_version,
-            "created_at": self.created_at,
-        }
 
 
 def manifest_path_for(out_target: str | Path) -> Path:

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .corpus import Passage
-from .data import QAPair, read_records, stable_hash_int, write_jsonl
+from .data import QAPair, Record, decode_failure, read_records, stable_hash_int, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
 from .llm import Backend, GatewayError, GenRequest, generate
@@ -99,7 +99,7 @@ def render_passages(passages: Sequence[Passage]) -> str:
 
 
 @dataclass
-class CandidateResponse:
+class CandidateResponse(Record):
     answer: str
     explanation: str
     source: str  # SOURCE_INTERNAL | SOURCE_RETRIEVAL
@@ -118,26 +118,9 @@ class CandidateResponse:
             return cls(answer="", explanation="", source=source, raw_text=raw)
         return cls(answer=answer, explanation=explanation, source=source, raw_text=raw)
 
-    def to_dict(self) -> dict:
-        return {
-            "answer": self.answer,
-            "explanation": self.explanation,
-            "source": self.source,
-            "raw_text": self.raw_text,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "CandidateResponse":
-        return cls(
-            answer=obj["answer"],
-            explanation=obj["explanation"],
-            source=obj["source"],
-            raw_text=obj["raw_text"],
-        )
-
 
 @dataclass
-class Exemplar:
+class Exemplar(Record):
     question: str
     explanation: str
     answer: str
@@ -155,8 +138,27 @@ def load_template(name: str) -> str:
 
 
 def load_default_exemplars() -> list[Exemplar]:
-    rows = json.loads((TEMPLATE_DIR / "fewshot_examples.json").read_text(encoding="utf-8"))
-    return [Exemplar(**row) for row in rows]
+    return _load_exemplars(TEMPLATE_DIR / "fewshot_examples.json")
+
+
+def _load_exemplars(path: str | Path) -> list[Exemplar]:
+    """A JSON list of {"question", "explanation", "answer"} objects; a file
+    or item of another shape is a PromptTemplateError naming the exemplar."""
+    try:
+        rows = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise PromptTemplateError(f"exemplar file is not JSON ({exc.msg})") from exc
+    if not isinstance(rows, list):
+        raise PromptTemplateError("exemplar file must hold a JSON list of objects")
+    exemplars = []
+    for n, row in enumerate(rows, start=1):
+        try:
+            if not isinstance(row, dict):
+                raise TypeError("exemplar is not an object")
+            exemplars.append(Exemplar.from_dict(row))
+        except (KeyError, TypeError) as exc:
+            raise PromptTemplateError(f"exemplar {n}: {decode_failure(exc)}") from exc
+    return exemplars
 
 
 def fill_template(template: str, **values: str) -> str:
@@ -190,11 +192,7 @@ class PromptSet:
             raise PromptTemplateError("shots must be 0 or 3")
         exemplars: list[Exemplar] = []
         if shots == 3:
-            if fewshot_path is not None:
-                rows = json.loads(Path(fewshot_path).read_text(encoding="utf-8"))
-                exemplars = [Exemplar(**row) for row in rows]
-            else:
-                exemplars = load_default_exemplars()
+            exemplars = load_default_exemplars() if fewshot_path is None else _load_exemplars(fewshot_path)
         return cls(
             llm_only_template=load_template("llm_only"),
             rag_template=load_template("rag"),
@@ -231,7 +229,7 @@ class PromptSet:
 
 
 @dataclass
-class SelectionRecord:
+class SelectionRecord(Record):
     id: str
     query: str
     internal: CandidateResponse | None = None
@@ -243,37 +241,6 @@ class SelectionRecord:
     passages_used: list[str] = field(default_factory=list)
     selector_raw: str = ""
     error: str | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "query": self.query,
-            "internal": self.internal.to_dict() if self.internal else None,
-            "grounded": self.grounded.to_dict() if self.grounded else None,
-            "final_answer": self.final_answer,
-            "final_explanation": self.final_explanation,
-            "chosen_source": self.chosen_source,
-            "presentation_order": self.presentation_order,
-            "passages_used": self.passages_used,
-            "selector_raw": self.selector_raw,
-            "error": self.error,
-        }
-
-    @classmethod
-    def from_dict(cls, obj: dict) -> "SelectionRecord":
-        return cls(
-            id=obj["id"],
-            query=obj["query"],
-            internal=CandidateResponse.from_dict(obj["internal"]) if obj.get("internal") else None,
-            grounded=CandidateResponse.from_dict(obj["grounded"]) if obj.get("grounded") else None,
-            final_answer=obj["final_answer"],
-            final_explanation=obj["final_explanation"],
-            chosen_source=obj["chosen_source"],
-            presentation_order=obj["presentation_order"],
-            passages_used=list(obj.get("passages_used", [])),
-            selector_raw=obj.get("selector_raw", ""),
-            error=obj.get("error"),
-        )
 
 
 def gen_llm_answer(

@@ -1,5 +1,5 @@
-"""Top-K passage retrieval: an Okapi BM25 inverted index, plus a dense
-retriever backed by an external embedding endpoint.
+"""Top-K passage retrieval with an Okapi BM25 inverted index, plus the client
+for an external embedding endpoint.
 
 The BM25 variant is fixed so results are bit-stable across machines:
 
@@ -21,7 +21,6 @@ and one `.npy` file per array in `INDEX_ARRAYS`.
 from __future__ import annotations
 
 import bisect
-import hashlib
 import json
 import math
 import re
@@ -91,7 +90,7 @@ class RetrievalConfig:
 class RetrievalResult:
     query: str
     hits: list[tuple[str, float]]  # (passage_id, score), best first
-    retriever_tag: str  # "bm25" | "dense"
+    retriever_tag: str  # "bm25"
 
     def to_json(self) -> str:
         return json.dumps(
@@ -316,10 +315,14 @@ class EmbeddingClient:
         except StatusError as exc:
             raise EmbeddingBackendError(f"embedding endpoint failed: {exc}") from exc
         vectors = payload.get("embeddings") if isinstance(payload, dict) else None
-        if not isinstance(vectors, list) or not all(
-            isinstance(vec, list) and all(type(x) in (int, float) and math.isfinite(x) for x in vec)
-            for vec in vectors
-        ):
+        try:
+            well_formed = isinstance(vectors, list) and all(
+                isinstance(vec, list) and all(type(x) in (int, float) and math.isfinite(x) for x in vec)
+                for vec in vectors
+            )
+        except OverflowError:  # an integer too large for a float
+            well_formed = False
+        if not well_formed:
             raise EmbeddingBackendError("embedding endpoint returned a malformed payload")
         if len(vectors) != len(texts):
             raise EmbeddingBackendError(
@@ -327,70 +330,3 @@ class EmbeddingClient:
             )
         return [[float(x) for x in vec] for vec in vectors]
 
-
-def _cache_path(cache_dir: Path, model_tag: str, passage_id: str) -> Path:
-    digest = hashlib.sha256(f"{model_tag}:{passage_id}".encode("utf-8")).hexdigest()
-    return cache_dir / f"{digest}.json"
-
-
-def _passage_vectors(
-    client: EmbeddingClient, corpus: Corpus, cache_dir: str | Path | None
-) -> dict[str, list[float]]:
-    cache = Path(cache_dir) if cache_dir is not None else None
-    if cache is not None:
-        cache.mkdir(parents=True, exist_ok=True)
-    vectors: dict[str, list[float]] = {}
-    missing: list[str] = []
-    for pid in corpus.ids():
-        if cache is not None:
-            path = _cache_path(cache, client.model_tag, pid)
-            if path.exists():
-                vectors[pid] = json.loads(path.read_text(encoding="utf-8"))["embedding"]
-                continue
-        missing.append(pid)
-    if missing:
-        texts = []
-        for pid in missing:
-            passage = corpus.get(pid)
-            # Titles help disambiguation, so they are embedded when present.
-            texts.append(f"{passage.title}\n{passage.text}" if passage.title else passage.text)
-        embedded = client.embed(texts)
-        for pid, vec in zip(missing, embedded):
-            vectors[pid] = vec
-            if cache is not None:
-                _cache_path(cache, client.model_tag, pid).write_text(
-                    json.dumps({"passage_id": pid, "model_tag": client.model_tag, "embedding": vec}),
-                    encoding="utf-8",
-                )
-    return vectors
-
-
-def dense_retrieve(
-    client: EmbeddingClient,
-    corpus: Corpus,
-    query: str,
-    top_k: int,
-    cache_dir: str | Path | None = None,
-) -> RetrievalResult:
-    """Cosine-similarity top-k over endpoint embeddings of the whole corpus.
-
-    Passage vectors are cached on disk keyed by (model tag, passage id) when a
-    cache directory is given; only the query is embedded on later calls.
-    """
-    if top_k < 1:
-        raise ValueError("top_k must be >= 1")
-    vectors = _passage_vectors(client, corpus, cache_dir)
-    query_vec = np.asarray(client.embed([query])[0], dtype=float)
-    qnorm = float(np.linalg.norm(query_vec))
-    scored: list[tuple[str, float]] = []
-    for pid, vec in vectors.items():
-        pvec = np.asarray(vec, dtype=float)
-        if pvec.shape != query_vec.shape:
-            raise EmbeddingBackendError(
-                f"dimension mismatch: passage {pid!r} has {pvec.shape[0]} dims, query has {query_vec.shape[0]}"
-            )
-        pnorm = float(np.linalg.norm(pvec))
-        sim = float(np.dot(query_vec, pvec) / (qnorm * pnorm)) if qnorm > 0 and pnorm > 0 else 0.0
-        scored.append((pid, sim))
-    scored.sort(key=lambda item: (-item[1], item[0]))
-    return RetrievalResult(query=query, hits=scored[:top_k], retriever_tag="dense")

@@ -13,12 +13,12 @@ from __future__ import annotations
 
 import random
 import re
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
 from .corpus import Corpus
-from .data import QAPair, read_records, stable_hash_int, write_jsonl
+from .data import FieldTypeError, QAPair, Record, read_records, stable_hash_int, write_jsonl
 from .errors import RagselError
 from .evaluation import accuracy, normalize
 from .llm import Backend, GatewayError, GenRequest, generate
@@ -67,18 +67,20 @@ class Judgment:
 
 
 @dataclass
-class Response:
+class Response(Record):
     """An (answer, explanation) pair, detached from how it was produced."""
 
     answer: str
     explanation: str
 
-    def to_dict(self) -> dict:
-        return {"answer": self.answer, "explanation": self.explanation}
+
+# The file nests these fields under "meta", in this order; each one may be
+# absent from it, and reads as this default.
+_META_DEFAULTS = {"n_passages": 0, "judge_tag": "", "seed": None, "query_id": ""}
 
 
 @dataclass
-class PreferenceInstance:
+class PreferenceInstance(Record):
     query_id: str
     query: str
     golden: str
@@ -90,36 +92,21 @@ class PreferenceInstance:
     seed: int | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "query": self.query,
-            "golden": self.golden,
-            "positive": self.positive.to_dict(),
-            "negative": self.negative.to_dict(),
-            "positive_source": self.positive_source,
-            "meta": {
-                "n_passages": self.n_passages,
-                "judge_tag": self.judge_tag,
-                "seed": self.seed,
-                "query_id": self.query_id,
-            },
-        }
+        out = super().to_dict()
+        out["meta"] = {key: out.pop(key) for key in _META_DEFAULTS}
+        return out
 
     @classmethod
     def from_dict(cls, obj: dict) -> "PreferenceInstance":
         meta = obj.get("meta", {})
         if not isinstance(meta, dict):
-            raise TypeError("meta must be an object")
-        return cls(
-            query_id=str(meta.get("query_id", "")),
-            query=obj["query"],
-            golden=obj["golden"],
-            positive=Response(**obj["positive"]),
-            negative=Response(**obj["negative"]),
-            positive_source=obj["positive_source"],
-            n_passages=meta.get("n_passages", 0),
-            judge_tag=meta.get("judge_tag", ""),
-            seed=meta.get("seed"),
-        )
+            raise FieldTypeError("object", meta, "meta")
+        try:
+            return super().from_dict({**obj, **_META_DEFAULTS, **meta})
+        except FieldTypeError as exc:
+            if exc.path[0] in _META_DEFAULTS:
+                exc.path.insert(0, "meta")
+            raise
 
 
 def generate_candidates(
@@ -216,7 +203,7 @@ def filter_instance(bundle: CandidateBundle, judgment: Judgment) -> PreferenceIn
 
 
 @dataclass
-class BuildReport:
+class BuildReport(Record):
     total: int = 0
     kept: int = 0
     kept_positive_internal: int = 0
@@ -227,9 +214,6 @@ class BuildReport:
     quarantined: int = 0
     quarantine_reasons: list[str] = field(default_factory=list)
     judge_tag: str = JUDGE_LEXICAL
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def build(

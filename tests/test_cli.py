@@ -94,6 +94,24 @@ _INSTANCE_ROW = {
     "negative": {"answer": "bogus 1", "explanation": "memory"},
     "positive_source": "retrieval",
 }
+_GOOD_INSTANCE_ROW = {
+    **_INSTANCE_ROW,
+    "golden": "gadget 1",
+    "positive": {"answer": "gadget 1", "explanation": "passages"},
+}
+_RESULT_ROW = {
+    "id": "q1",
+    "query": "What about marker1?",
+    "internal": None,
+    "grounded": None,
+    "final_answer": "gadget 1",
+    "final_explanation": "",
+    "chosen_source": "internal",
+    "presentation_order": "internal_first",
+    "passages_used": [],
+    "selector_raw": "",
+    "error": None,
+}
 _PAIR_ROW = {
     "prompt": "p",
     "chosen": "gadget 1",
@@ -116,8 +134,18 @@ _PAIR_ROW = {
         ),
         (["dpo", "export", "--in", "{bad}"], _PAIR_ROW),
         (["run", "--mode", "llm-only", "--qa", "{qa}", "--script", "{bad}"], {"match_key": "marker1"}),
+        (["eval", "--pred", "{bad}", "--qa", "{qa}"], {**_RESULT_ROW, "final_answer": None}),
+        (["rgp", "augment", "--in", "{bad}", "--k", "1"], {**_GOOD_INSTANCE_ROW, "golden": 5}),
+        (
+            ["rgp", "augment", "--in", "{bad}", "--k", "1"],
+            {**_GOOD_INSTANCE_ROW, "meta": {"n_passages": "many", "judge_tag": 7}},
+        ),
+        (["dpo", "export", "--in", "{bad}"], {**_PAIR_ROW, "source_query_ids": ["a"]}),
     ],
-    ids=["eval", "errors-classify", "rgp-augment", "rgp-augment-meta", "dpo-export", "run-script"],
+    ids=[
+        "eval", "errors-classify", "rgp-augment", "rgp-augment-meta", "dpo-export", "run-script",
+        "eval-null-answer", "rgp-augment-golden-int", "rgp-augment-meta-types", "dpo-export-one-query-id",
+    ],
 )
 def test_malformed_input_line_exits_one_with_json_error(tmp_path, capsys, argv, bad_row):
     bad, qa, out = tmp_path / "bad.jsonl", tmp_path / "qa.jsonl", tmp_path / "out.json"
@@ -130,6 +158,32 @@ def test_malformed_input_line_exits_one_with_json_error(tmp_path, capsys, argv, 
     last = json.loads(err.strip().splitlines()[-1])
     assert last["error"] == "MalformedRecordError"
     assert last["message"].startswith("line 1: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "fewshot",
+    [
+        [{"question": "q"}],
+        {"a": 1},
+        ["not an object"] * 3,
+        [{"question": "q", "explanation": "e", "answer": 5}] * 3,
+        "not json",
+    ],
+    ids=["missing-field", "not-a-list", "item-not-an-object", "answer-int", "not-json"],
+)
+def test_malformed_fewshot_file_exits_one_with_json_error(tmp_path, capsys, fewshot):
+    _passages_path, qa_path, script_path = _desk_inputs(tmp_path)
+    path, out = tmp_path / "fewshot.json", tmp_path / "out.jsonl"
+    path.write_text(fewshot if isinstance(fewshot, str) else json.dumps(fewshot))
+    argv = ["run", "--mode", "llm-only", "--qa", str(qa_path), "--script", str(script_path)]
+    code = main(argv + ["--shots", "3", "--fewshot", str(path), "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = json.loads(err.strip().splitlines()[-1])
+    assert last["error"] == "PromptTemplateError"
+    assert last["message"].startswith("exemplar")
     assert not out.exists()
 
 

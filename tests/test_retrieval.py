@@ -17,7 +17,6 @@ from ragsel.retrieval import (
     UnknownPassageError,
     INDEX_VERSION,
     build_index,
-    dense_retrieve,
     index_files,
     tokenize,
 )
@@ -273,95 +272,9 @@ class TestBm25Oracle:
         assert index.retrieve("v1 v2 v3", 5).hits
 
 
-def _toy_vector(text: str) -> list[float]:
-    return [
-        float(len(text) % 7 + 1),
-        float(sum(ord(c) for c in text) % 11),
-        float(ord(text[0]) % 5) if text else 0.0,
-        1.0,
-    ]
-
-
-def _embedding_handler(path, payload):
-    return 200, {"embeddings": [_toy_vector(t) for t in payload["input"]]}
-
-
 class TestDenseRetrieve:
-    def test_identical_vector_ranks_first_with_sim_one(self, http_stub, tmp_path):
-        http_stub.set_handler(_embedding_handler)
-        corpus = make_corpus(
-            tmp_path,
-            [{"id": "a", "text": "alpha beta"}, {"id": "b", "text": "totally different text"}],
-        )
-        client = EmbeddingClient(http_stub.url)
-        result = dense_retrieve(client, corpus, "alpha beta", top_k=2)
-        assert result.retriever_tag == "dense"
-        assert result.hits[0][0] == "a"
-        assert result.hits[0][1] == pytest.approx(1.0, abs=1e-12)
-
-    def test_orthogonal_vectors_give_zero(self, http_stub, tmp_path):
-        table = {"xx": [1.0, 0.0], "yy": [0.0, 1.0]}
-
-        def handler(path, payload):
-            return 200, {"embeddings": [table[t] for t in payload["input"]]}
-
-        http_stub.set_handler(handler)
-        corpus = make_corpus(tmp_path, [{"id": "p", "text": "xx"}])
-        client = EmbeddingClient(http_stub.url)
-        result = dense_retrieve(client, corpus, "yy", top_k=1)
-        assert result.hits[0] == ("p", 0.0)
-
-    def test_ranking_matches_brute_force_cosine(self, http_stub, tmp_path):
-        http_stub.set_handler(_embedding_handler)
-        records = [{"id": f"p{i}", "text": f"passage number {i} body"} for i in range(4)]
-        corpus = make_corpus(tmp_path, records)
-        client = EmbeddingClient(http_stub.url)
-        query = "which passage"
-        result = dense_retrieve(client, corpus, query, top_k=4)
-
-        qv = _toy_vector(query)
-        sims = {}
-        for r in records:
-            pv = _toy_vector(r["text"])
-            dot = sum(a * b for a, b in zip(qv, pv))
-            sims[r["id"]] = dot / (
-                math.sqrt(sum(a * a for a in qv)) * math.sqrt(sum(b * b for b in pv))
-            )
-        expected = sorted(sims.items(), key=lambda item: (-item[1], item[0]))
-        assert [pid for pid, _ in result.hits] == [pid for pid, _ in expected]
-        for (pid, sim), (_, want) in zip(result.hits, expected):
-            assert sim == pytest.approx(want, abs=1e-12)
-
-    def test_cache_avoids_reembedding_passages(self, http_stub, tmp_path):
-        http_stub.set_handler(_embedding_handler)
-        corpus = make_corpus(tmp_path, [{"id": f"p{i}", "text": f"text {i}"} for i in range(3)])
-        client = EmbeddingClient(http_stub.url, model_tag="toy")
-        cache = tmp_path / "emb_cache"
-        dense_retrieve(client, corpus, "first query", top_k=2, cache_dir=cache)
-        hits_before = http_stub.hits
-        dense_retrieve(client, corpus, "second query", top_k=2, cache_dir=cache)
-        # Only the new query goes over the wire the second time.
-        assert http_stub.hits == hits_before + 1
-        assert http_stub.requests[-1]["input"] == ["second query"]
-
-    def test_dimension_mismatch_detected(self, http_stub, tmp_path):
-        http_stub.set_handler(_embedding_handler)
-        corpus = make_corpus(tmp_path, [{"id": "p0", "text": "some text"}])
-        client = EmbeddingClient(http_stub.url, model_tag="toy")
-        cache = tmp_path / "emb_cache"
-        cache.mkdir()
-        import hashlib
-
-        digest = hashlib.sha256(b"toy:p0").hexdigest()
-        (cache / f"{digest}.json").write_text(
-            json.dumps({"passage_id": "p0", "model_tag": "toy", "embedding": [1.0, 2.0]})
-        )
-        with pytest.raises(EmbeddingBackendError, match="dimension mismatch"):
-            dense_retrieve(client, corpus, "query", top_k=1, cache_dir=cache)
-
-    def test_endpoint_failure_carries_cause(self, tmp_path, monkeypatch):
+    def test_endpoint_failure_carries_cause(self, monkeypatch):
         monkeypatch.setattr("ragsel.llm.time.sleep", lambda _seconds: None)
-        corpus = make_corpus(tmp_path, [{"id": "p0", "text": "some text"}])
         client = EmbeddingClient("http://127.0.0.1:1/v1/embeddings", timeout=0.2)
         with pytest.raises(EmbeddingBackendError, match="unreachable"):
-            dense_retrieve(client, corpus, "query", top_k=1)
+            client.embed(["query"])

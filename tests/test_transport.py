@@ -59,6 +59,7 @@ class TestEmbeddingRetries:
         {"embeddings": [{"0": 1.0}]},
         {"embeddings": [[1.0], [2.0]]},
         b'{"embeddings": [[NaN, Infinity]]}',
+        b'{"embeddings": [[1' + b"0" * 400 + b"]]}",
     ],
     ids=repr,
 )
