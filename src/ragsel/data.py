@@ -33,7 +33,12 @@ class FieldTypeError(TypeError):
         super().__init__(expected, value)
         self.path = list(path)
         self.expected = expected
-        self.got = "null" if value is None else "object" if isinstance(value, dict) else type(value).__name__
+        self.got = (
+            "null" if value is None
+            else "object" if isinstance(value, dict)
+            else "an int too large for a float" if type(value) is int and not _fits_float(value)
+            else type(value).__name__
+        )
 
     def __str__(self) -> str:
         return f"field {'.'.join(self.path)!r} must be {self.expected}, got {self.got}"
@@ -51,10 +56,11 @@ class Record:
     it is. `from_dict` reads back exactly what `to_dict` writes. Every key is
     required whatever the field's default, and a missing one is a KeyError
     naming it. Each value must match its annotation, one of `str`, `int`
-    (not bool), `float` (an int or a float), `list[str]`, `tuple[str, str]`
-    (a JSON list of two), a nested Record, or `X | None`, or FieldTypeError
-    names the field. A class with a field of another type encodes but cannot
-    be decoded.
+    (not bool), `float` (a float, or an int a float can hold), `list[str]`,
+    `tuple[str, str]` (a JSON list of two), a nested Record, or `X | None`,
+    or FieldTypeError names the field. A class with a field of another type
+    encodes but cannot be decoded. `from_dict` passes the fields to the
+    constructor by position, so every field must be an `__init__` parameter.
     """
 
     def to_dict(self) -> dict:
@@ -65,17 +71,25 @@ class Record:
 
     @classmethod
     def from_dict(cls: type[R], obj: dict) -> R:
-        kwargs = {}
+        values = []  # by position: cheaper than keywords
         for name, _encode, decode in _plan(cls):
             value = obj[name]
             try:
-                kwargs[name] = decode(value)
+                values.append(decode(value))
             except FieldTypeError as exc:
                 exc.path.insert(0, name)
                 raise
             except KeyError as exc:  # a key missing inside a nested record
                 raise KeyError(f"{name}.{exc.args[0]}") from None
-        return cls(**kwargs)
+        return cls(*values)
+
+
+def _fits_float(value: int) -> bool:
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _checked(expected: str, ok: Callable[[Any], bool], convert: Callable[[Any], Any] | None = None):
@@ -108,13 +122,16 @@ def _undecodable(hint: Any) -> Callable[[Any], Any]:
     return decode
 
 
+# isinstance, not `type(x) is str`: JSON yields no str subclass, and map() over it beats a generator.
+_is_str = str.__instancecheck__
+
 _DECODERS = {
     str: _checked("str", lambda v: type(v) is str),
     int: _checked("int", lambda v: type(v) is int),
-    float: _checked("float", lambda v: type(v) is float or type(v) is int),
-    list[str]: _checked("list of str", lambda v: type(v) is list and all(type(x) is str for x in v)),
+    float: _checked("float", lambda v: type(v) is float or type(v) is int and _fits_float(v)),
+    list[str]: _checked("list of str", lambda v: type(v) is list and all(map(_is_str, v))),
     tuple[str, str]: _checked(
-        "list of 2 str", lambda v: type(v) is list and len(v) == 2 and all(type(x) is str for x in v), tuple
+        "list of 2 str", lambda v: type(v) is list and len(v) == 2 and all(map(_is_str, v)), tuple
     ),
 }
 
@@ -144,7 +161,7 @@ def _plan(cls: type[Record]) -> tuple[tuple[str, Callable[[Any], Any] | None, Ca
 
 
 @dataclass
-class QAPair:
+class QAPair(Record):
     """A query with its golden answer(s); aliases are alternative accepted strings."""
 
     id: str
@@ -201,13 +218,14 @@ def load_qa_file(path: str | Path) -> list[QAPair]:
     seen: set[str] = set()
 
     def parse(obj: dict) -> QAPair:
-        qid, question, golds = str(obj["id"]), obj["question"], obj["golden_answers"]
+        golds = obj.get("golden_answers", [""])  # from_dict names a missing key
         if not isinstance(golds, list) or not golds:
             raise ValueError("golden_answers must be a non-empty list")
-        if qid in seen:
-            raise ValueError(f"duplicate qa id {qid!r}")
-        seen.add(qid)
-        return QAPair(id=qid, question=str(question), golden_answers=[str(g) for g in golds])
+        qa = QAPair.from_dict(obj)
+        if qa.id in seen:
+            raise ValueError(f"duplicate qa id {qa.id!r}")
+        seen.add(qa.id)
+        return qa
 
     return read_records(path, parse)
 

@@ -41,8 +41,11 @@ class DpoConfig:
             raise ValueError("beta must be > 0")
 
 
+_LOGPROB_FIELDS = ("logp_policy_chosen", "logp_ref_chosen", "logp_policy_rejected", "logp_ref_rejected")
+
+
 @dataclass(frozen=True)
-class LogProbRecord:
+class LogProbRecord(Record):
     pair_id: str
     logp_policy_chosen: float
     logp_ref_chosen: float
@@ -50,13 +53,9 @@ class LogProbRecord:
     logp_ref_rejected: float
 
     def __post_init__(self):
-        for name in (
-            "logp_policy_chosen",
-            "logp_ref_chosen",
-            "logp_policy_rejected",
-            "logp_ref_rejected",
-        ):
-            value = getattr(self, name)
+        for name in _LOGPROB_FIELDS:
+            value = float(getattr(self, name))  # a JSON integer is held as a float
+            object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value > 0:
@@ -98,21 +97,8 @@ def dataset_loss(
     return math.fsum(per_pair) / len(per_pair), per_pair
 
 
-_LOGPROB_FIELDS = (
-    "logp_policy_chosen",
-    "logp_ref_chosen",
-    "logp_policy_rejected",
-    "logp_ref_rejected",
-)
-
-
 def load_logprob_file(path: str | Path) -> list[LogProbRecord]:
-    return read_records(
-        path,
-        lambda obj: LogProbRecord(
-            pair_id=str(obj["pair_id"]), **{name: float(obj[name]) for name in _LOGPROB_FIELDS}
-        ),
-    )
+    return read_records(path, LogProbRecord.from_dict)
 
 
 @dataclass

@@ -16,6 +16,7 @@ import contextlib
 import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
@@ -260,6 +261,7 @@ class CachedBackend:
     """Replay cache around any backend: one file per request fingerprint.
 
     A cache hit performs zero network calls and returns byte-identical text.
+    Each entry is written whole or not at all.
     """
 
     def __init__(self, inner: Backend, cache_dir: str | Path):
@@ -273,8 +275,21 @@ class CachedBackend:
         if path.exists():
             return path.read_text(encoding="utf-8")
         text = self.inner.complete(request)
-        path.write_text(text, encoding="utf-8")
+        _write_atomic(path, text)
         return text
+
+
+def _write_atomic(path: Path, text: str) -> None:
+    """Write text to a temporary sibling, then rename it over `path`, so a
+    crash mid-write leaves no file at `path` rather than part of the text."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def generate(backend: Backend, request: GenRequest) -> GenResponse:

@@ -11,11 +11,13 @@ once per occurrence). This idf form is never negative, so every score is
 >= 0 and is 0 exactly when no query term occurs in the document. Documents
 scoring 0 are excluded from results rather than padded.
 
-Scoring is term-at-a-time over CSR postings (`Postings`): each query token
-adds its term into one float64 score vector, so every passage's score is
-the same sequence of IEEE operations as the per-document formula. An index
-directory holds `index.json` (format, version, k1, b, passage ids, terms)
-and one `.npy` file per array in `INDEX_ARRAYS`.
+Each posting's term score ("impact", idf times the tf part) is computed once
+per index, on first use, with the formula's IEEE operations in its order. A
+query is then one float64 `np.bincount` of its terms' impacts over CSR
+postings (`Postings`), in query-token order, so every passage's score is the
+same sequence of additions as the per-document formula. Impacts are not
+stored: an index directory holds `index.json` (format, version, k1, b,
+passage ids, terms) and one `.npy` file per array in `INDEX_ARRAYS`.
 """
 
 from __future__ import annotations
@@ -25,9 +27,10 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -129,26 +132,28 @@ class Postings:
         np.cumsum(np.bincount(keys // n, minlength=len(vocab)), out=term_ptr[1:])
         return cls(list(vocab), term_ptr, (keys % n).astype(np.int32), tfs.astype(np.int32), lengths)
 
-    def get(self, term: str) -> tuple[np.ndarray, np.ndarray] | None:
-        """(rows, counts) of one term, or None when no row holds it."""
+    def span(self, term: str) -> slice | None:
+        """Where a term's postings lie in `rows` and `tfs`, or None when no row holds it."""
         t = self._term_id.get(term)
-        if t is None:
-            return None
-        lo, hi = self.term_ptr[t], self.term_ptr[t + 1]
-        return self.rows[lo:hi], self.tfs[lo:hi]
+        return None if t is None else slice(self.term_ptr[t], self.term_ptr[t + 1])
+
+    def row_sums(self, rows: Iterable[np.ndarray], weights: Iterable[np.ndarray]) -> np.ndarray:
+        """Float64 sum of the weights by row, adding each row's weights in the
+        order given: one `np.bincount` over the concatenated slices."""
+        rows, weights = np.concatenate([_NO_ROWS, *rows]), np.concatenate([_NO_WEIGHTS, *weights])
+        return np.bincount(rows, weights, minlength=len(self.lengths))
 
     def dots(self, counts: dict[str, int]) -> np.ndarray:
         """Dot product of a term-count vector with every row's count vector.
 
         Float64, but exact: every value is an integer sum far below 2**53.
         """
-        rows, weights = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int64)]
-        for term, count in counts.items():
-            hit = self.get(term)
-            if hit is not None:
-                rows.append(hit[0])
-                weights.append(hit[1] * count)
-        return np.bincount(np.concatenate(rows), np.concatenate(weights), minlength=len(self.lengths))
+        hits = [(span, n) for span, n in zip(map(self.span, counts), counts.values()) if span is not None]
+        return self.row_sums((self.rows[span] for span, _ in hits), (self.tfs[span] * n for span, n in hits))
+
+
+_NO_ROWS = np.empty(0, dtype=np.int32)
+_NO_WEIGHTS = np.empty(0)
 
 
 def top_k_positions(scores: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
@@ -182,17 +187,28 @@ class Bm25Index:
         # The same IEEE operations, in the same order, as the formula above.
         self.norms = self.k1 * ((1.0 - self.b) + (self.b * dl) / self.avgdl) if self.avgdl else np.zeros(self.N)
 
+    @cached_property
+    def impacts(self) -> np.ndarray:
+        """Each posting's term score, aligned with `postings.rows`:
+        `idf * tf * (k1 + 1.0) / (tf + norm)`, the formula's operations in its order."""
+        p = self.postings
+        df = np.diff(p.term_ptr)
+        dfs, df_of_term = np.unique(df, return_inverse=True)
+        # math.log once per distinct df: np.log may differ from it in the last bit.
+        idf = np.array([math.log(1.0 + (self.N - d + 0.5) / (d + 0.5)) for d in dfs.tolist()])
+        # In place, so at most two posting-sized arrays are alive at once.
+        impacts = np.repeat(idf[df_of_term], df)
+        impacts *= p.tfs
+        impacts *= self.k1 + 1.0
+        denominators = self.norms[p.rows]
+        denominators += p.tfs
+        impacts /= denominators
+        return impacts
+
     def _scores(self, query_tokens: list[str]) -> np.ndarray:
-        scores = np.zeros(self.N)
-        for term in query_tokens:
-            hit = self.postings.get(term)
-            if hit is None:
-                continue
-            rows, tf = hit
-            df = len(rows)
-            idf = math.log(1.0 + (self.N - df + 0.5) / (df + 0.5))
-            scores[rows] += idf * tf * (self.k1 + 1.0) / (tf + self.norms[rows])
-        return scores
+        p, impacts = self.postings, self.impacts
+        spans = [span for span in map(p.span, query_tokens) if span is not None]
+        return p.row_sums((p.rows[span] for span in spans), (impacts[span] for span in spans))
 
     def score(self, query: str, passage_id: str) -> float:
         """BM25 score of one passage for a query; 0 iff no query term occurs."""

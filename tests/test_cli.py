@@ -120,6 +120,13 @@ _PAIR_ROW = {
     "negative_origin": "original",
     "source_query_ids": 5,
 }
+_LOGPROB_ROW = {
+    "pair_id": "p1",
+    "logp_policy_chosen": -1.5,
+    "logp_ref_chosen": -2.0,
+    "logp_policy_rejected": -3.0,
+    "logp_ref_rejected": -2.5,
+}
 
 
 @pytest.mark.parametrize(
@@ -141,10 +148,14 @@ _PAIR_ROW = {
             {**_GOOD_INSTANCE_ROW, "meta": {"n_passages": "many", "judge_tag": 7}},
         ),
         (["dpo", "export", "--in", "{bad}"], {**_PAIR_ROW, "source_query_ids": ["a"]}),
+        (["dpo", "loss", "--in", "{bad}"], {**_LOGPROB_ROW, "logp_policy_chosen": -(10**400)}),
+        (["dpo", "loss", "--in", "{bad}"], {**_LOGPROB_ROW, "logp_policy_chosen": "-1.5"}),
+        (["run", "--mode", "llm-only", "--qa", "{bad}"], {"id": 5, "question": None, "golden_answers": ["x"]}),
     ],
     ids=[
         "eval", "errors-classify", "rgp-augment", "rgp-augment-meta", "dpo-export", "run-script",
         "eval-null-answer", "rgp-augment-golden-int", "rgp-augment-meta-types", "dpo-export-one-query-id",
+        "dpo-loss-huge-int", "dpo-loss-string", "run-qa-types",
     ],
 )
 def test_malformed_input_line_exits_one_with_json_error(tmp_path, capsys, argv, bad_row):

@@ -1,3 +1,4 @@
+import errno
 import json
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import chat_body
+from ragsel import llm
 from ragsel.llm import (
     CachedBackend,
     GatewayError,
@@ -193,3 +195,36 @@ class TestCachedBackend:
         backend = CachedBackend(ScriptedBackend({"q": "r"}), tmp_path / "cache")
         assert backend.complete(GenRequest(user_prompt="q one")) == "r"
         assert backend.complete(GenRequest(user_prompt="q one")) == "r"
+
+    def test_write_failing_partway_leaves_no_entry(self, tmp_path, monkeypatch):
+        cache = tmp_path / "cache"
+        backend = CachedBackend(ScriptedBackend({"q": "a long reply " * 100}), cache)
+        request = GenRequest(user_prompt="q one")
+
+        class DiskFullMidWrite:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, text):
+                self.fh.write(text[: len(text) // 2])
+                self.fh.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        real_open = open
+
+        def disk_full_open(*args, **kwargs):
+            return DiskFullMidWrite(real_open(*args, **kwargs))
+
+        monkeypatch.setattr(llm, "open", disk_full_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            backend.complete(request)
+        assert list(cache.iterdir()) == []
+        monkeypatch.undo()
+        assert backend.complete(request) == "a long reply " * 100
+        assert [p.name for p in cache.iterdir()] == [f"{fingerprint(request)}.txt"]

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragsel.augment import AugmentReport, DpoPair
-from ragsel.data import MalformedRecordError, write_jsonl
-from ragsel.dpo import ExportSummary
+from ragsel.data import MalformedRecordError, load_qa_file, write_jsonl
+from ragsel.dpo import ExportSummary, load_logprob_file
 from ragsel.evaluation import ItemMetrics, MetricReport
 from ragsel.manifest import RunManifest
 from ragsel.pipeline import CandidateResponse, SelectionRecord, load_records
@@ -213,3 +213,53 @@ def test_a_record_with_a_field_of_another_type_encodes_but_does_not_decode():
     report = _examples()["metric-report"]
     with pytest.raises(NotImplementedError):
         MetricReport.from_dict(report.to_dict())
+
+
+_LOGPROBS = {
+    "pair_id": "p1",
+    "logp_policy_chosen": -1.5,
+    "logp_ref_chosen": -2.0,
+    "logp_policy_rejected": -3.0,
+    "logp_ref_rejected": -2.5,
+}
+_QA = {"id": "q1", "question": "Who?", "golden_answers": ["x"]}
+
+
+@pytest.mark.parametrize(
+    "load, row, message",
+    [
+        (
+            load_logprob_file,
+            {**_LOGPROBS, "logp_ref_chosen": "-1.5"},
+            "field 'logp_ref_chosen' must be float, got str",
+        ),
+        (
+            load_logprob_file,
+            {**_LOGPROBS, "logp_policy_chosen": -(10**400)},
+            "field 'logp_policy_chosen' must be float, got an int too large for a float",
+        ),
+        (load_logprob_file, {**_LOGPROBS, "pair_id": 1}, "field 'pair_id' must be str, got int"),
+        (load_qa_file, {**_QA, "id": 5, "question": None}, "field 'id' must be str, got int"),
+        (load_qa_file, {**_QA, "question": None}, "field 'question' must be str, got null"),
+        (
+            load_qa_file,
+            {**_QA, "golden_answers": ["x", 2]},
+            "field 'golden_answers' must be list of str, got list",
+        ),
+        (load_qa_file, {**_QA, "golden_answers": []}, "golden_answers must be a non-empty list"),
+        (load_qa_file, {**_QA, "golden_answers": "x"}, "golden_answers must be a non-empty list"),
+    ],
+)
+def test_qa_and_logprob_lines_are_type_checked(tmp_path, load, row, message):
+    path = tmp_path / "in.jsonl"
+    write_jsonl(path, [row])
+    with pytest.raises(MalformedRecordError) as excinfo:
+        load(path)
+    assert str(excinfo.value) == f"line 1: {message}"
+
+
+def test_logprobs_given_as_json_integers_read_as_floats(tmp_path):
+    path = tmp_path / "lp.jsonl"
+    write_jsonl(path, [{**_LOGPROBS, "logp_ref_chosen": -2}])
+    (record,) = load_logprob_file(path)
+    assert type(record.logp_ref_chosen) is float and record.logp_ref_chosen == -2.0

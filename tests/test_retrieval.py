@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from conftest import make_corpus
@@ -270,6 +271,44 @@ class TestBm25Oracle:
         assert index.N == 10_000
         assert elapsed < 10.0
         assert index.retrieve("v1 v2 v3", 5).hits
+
+
+class TestImpacts:
+    """Per-posting term scores, computed once per index and summed per query."""
+
+    def _corpus(self, tmp_path, name="c"):
+        # "every" occurs in every passage (df = N); the rest follow a skewed draw.
+        rng = random.Random(11)
+        vocab = [f"w{i}" for i in range(15)]
+        texts = [["every"] + rng.choices(vocab, range(15, 0, -1), k=rng.randint(0, 25)) for _ in range(60)]
+        records = [{"id": f"d{i:03d}", "text": " ".join(text)} for i, text in enumerate(texts)]
+        return make_corpus(tmp_path, records, name), {r["id"]: tokenize(r["text"]) for r in records}, vocab
+
+    def test_score_equals_brute_force_with_a_term_in_every_passage(self, tmp_path):
+        corpus, docs, vocab = self._corpus(tmp_path)
+        index = build_index(corpus)
+        assert len(index.postings.rows[index.postings.span("every")]) == index.N
+        rng = random.Random(3)
+        for _ in range(40):
+            # Repeated tokens count once per use; "absent" occurs in no passage.
+            query_tokens = rng.choices(["every", "absent", *vocab[:6]], k=rng.randint(1, 5))
+            query_tokens *= rng.randint(1, 3)
+            rng.shuffle(query_tokens)
+            expected = brute_force_bm25(docs, query_tokens, 1.2, 0.75)
+            query = " ".join(query_tokens)
+            assert {pid: index.score(query, pid) for pid in docs} == expected
+            assert index.retrieve(query, 7).hits == brute_force_rank(docs, query, 1.2, 0.75, 7)
+
+    def test_loaded_index_has_identical_impacts(self, tmp_path):
+        corpus, _docs, vocab = self._corpus(tmp_path)
+        built = build_index(corpus)
+        built.save(tmp_path / "idx")
+        loaded = Bm25Index.load(tmp_path / "idx")
+        assert "impacts" not in vars(loaded)  # computed on first use, not by load
+        assert loaded.impacts.dtype == np.float64 and len(loaded.impacts) == len(loaded.postings.rows)
+        assert np.array_equal(loaded.impacts, built.impacts)
+        for query in ["every", "w0 w1 w0", " ".join(vocab), "absent"]:
+            assert loaded.retrieve(query, 5).to_json() == built.retrieve(query, 5).to_json()
 
 
 class TestDenseRetrieve:
