@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
+import uuid
 import weakref
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,14 +134,29 @@ def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:
     counts.
 
     Ingest is single-writer: it fails rather than amend an existing corpus.
+    `out_dir` must be missing or an empty directory. The corpus is built in a
+    temporary sibling and renamed into place, so a failed ingest leaves
+    nothing at `out_dir` and a retry starts clean.
     """
-    from .retrieval import tokenize  # avoids a module cycle
-
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    passages_path = out / PASSAGES_FILE
-    if passages_path.exists():
+    if (out / PASSAGES_FILE).exists():
         raise CorpusError(f"{out} already contains a corpus; ingest will not overwrite it")
+    if out.exists() and (not out.is_dir() or any(out.iterdir())):
+        raise CorpusError(f"{out} is not an empty directory; ingest will not write into it")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    staging = out.parent / f".{out.name}.{uuid.uuid4().hex}.tmp"
+    staging.mkdir()
+    try:
+        _write_corpus(source, staging)
+        os.rename(staging, out)  # replaces a missing or empty directory only
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
+    return Corpus(out)
+
+
+def _write_corpus(source: str | Path | Iterable[dict], root: Path) -> None:
+    from .retrieval import tokenize  # avoids a module cycle
 
     if isinstance(source, (str, Path)):
         records: Iterable[tuple[int, dict]] = read_jsonl(source)
@@ -149,7 +166,7 @@ def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:
     offsets: dict[str, int] = {}
     total_tokens = 0
     position = 0
-    with open(passages_path, "wb") as fh:
+    with open(root / PASSAGES_FILE, "wb") as fh:
         for ordinal, record in records:
             if not isinstance(record, dict) or "id" not in record or "text" not in record:
                 raise MalformedPassageError(ordinal, "record must carry id and text fields")
@@ -168,9 +185,9 @@ def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:
             total_tokens += len(tokenize(text))
 
     stats = CorpusStats(passage_count=len(offsets), total_tokens=total_tokens)
-    (out / OFFSETS_FILE).write_text(json.dumps(offsets), encoding="utf-8")
+    (root / OFFSETS_FILE).write_text(json.dumps(offsets), encoding="utf-8")
     avg = stats.avg_doc_len
-    (out / STATS_FILE).write_text(
+    (root / STATS_FILE).write_text(
         json.dumps(
             {
                 "passage_count": stats.passage_count,
@@ -180,4 +197,3 @@ def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:
         ),
         encoding="utf-8",
     )
-    return Corpus(out)

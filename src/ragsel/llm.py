@@ -1,11 +1,18 @@
 """Generation backends behind one interface: an OpenAI-style chat HTTP
 endpoint for real runs, a scripted table for tests and offline runs, and a
 disk replay cache keyed by request fingerprint. `_post_json` is the one HTTP
-transport; the chat backend and `retrieval.EmbeddingClient` both use it.
+transport, on the standard library's `urllib.request`; the chat backend and
+`retrieval.EmbeddingClient` both use it.
 
-Every failure maps to exactly one of: TransportError (network exhausted),
-StatusError (HTTP non-success, a reply that is not JSON, or a malformed
-completion payload), ScriptMissError (scripted backend has no matching key).
+Every failure maps to exactly one of:
+- TransportError: no HTTP status came back. A refused or dropped connection,
+  a timeout or a truncated reply is retried, and raised once retries are
+  exhausted. A URL whose scheme is not http or https is raised at once,
+  before anything is opened.
+- StatusError: an HTTP status other than 200, a reply that is not JSON, or a
+  malformed completion payload. 429 and 5xx are retried first; every other
+  status fails at once, a 3xx too, because no redirect is followed.
+- ScriptMissError: the scripted backend has no matching key.
 The embedding client re-raises the first two as EmbeddingBackendError.
 Parsing of the completion text is the caller's problem, by design.
 """
@@ -13,17 +20,21 @@ Parsing of the completion text is the caller's problem, by design.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
+import http.client
 import json
+import math
 import os
 import tempfile
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Protocol
-
-import requests
 
 from .data import read_records
 from .errors import RagselError
@@ -62,8 +73,8 @@ class GenRequest:
     def __post_init__(self):
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        if not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
 
 
 @dataclass
@@ -161,16 +172,53 @@ class ScriptedBackend:
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
 
 
+@functools.cache
+def _opener() -> urllib.request.OpenerDirector:
+    """`urlopen`'s handlers for http and https, without the redirect handler,
+    so a 3xx is an error status, and without the file, ftp and data
+    handlers. Proxy variables are read on first use, as `urlopen` does."""
+    opener = urllib.request.OpenerDirector()
+    for handler in (
+        urllib.request.ProxyHandler(),
+        urllib.request.UnknownHandler(),
+        urllib.request.HTTPHandler(),
+        urllib.request.HTTPSHandler(),
+        urllib.request.HTTPDefaultErrorHandler(),
+        urllib.request.HTTPErrorProcessor(),
+    ):
+        opener.add_handler(handler)
+    return opener
+
+
+def _send(request: urllib.request.Request, timeout: float) -> tuple[int, bytes]:
+    """One POST: its status and whole body. The body of an error status is
+    discarded unread."""
+    try:
+        with _opener().open(request, timeout=timeout) as resp:
+            return resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        return exc.code, b""
+
+
 def _post_json(url: str, body: dict, *, api_key_env: str | None = None, max_retries: int = 3,
                backoff_base: float = 0.25, timeout: float = 60.0, slots: threading.Semaphore | None = None):
     """POST `body` as JSON and return the decoded JSON reply: the one HTTP
     transport of the chat and embedding clients.
 
     A bearer token is sent when the variable named by `api_key_env` is set.
-    Connection errors, timeouts and 429/5xx are retried up to `max_retries`
-    more times with exponential backoff; other non-200 statuses fail at once.
+    Connection errors, timeouts, truncated replies and 429/5xx are retried up
+    to `max_retries` more times with exponential backoff; other non-200
+    statuses fail at once. Only http and https URLs are opened.
     `slots`, when given, caps the requests in flight across its sharers.
     """
+    try:
+        scheme = urllib.parse.urlsplit(url).scheme
+    except ValueError as exc:
+        raise TransportError(1, f"malformed URL {url!r}: {exc}") from exc
+    if scheme not in ("http", "https"):
+        raise TransportError(1, f"URL scheme {scheme!r} is not http or https: {url}")
+    data = json.dumps(body, allow_nan=False).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     token = os.environ.get(api_key_env, "") if api_key_env else ""
     if token:
@@ -179,19 +227,20 @@ def _post_json(url: str, body: dict, *, api_key_env: str | None = None, max_retr
     for attempt in range(max_retries + 1):
         if attempt:
             time.sleep(backoff_base * (2 ** (attempt - 1)))
+        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
         try:
             with slots or contextlib.nullcontext():
-                resp = requests.post(url, json=body, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
-            last_transport, last_status = str(exc), None
+                status, raw = _send(request, timeout)
+        except (OSError, http.client.HTTPException) as exc:
+            last_transport, last_status = f"{type(exc).__name__}: {exc}", None
             continue
-        if resp.status_code in _RETRYABLE_STATUSES:
-            last_status = resp.status_code
+        if status in _RETRYABLE_STATUSES:
+            last_status = status
             continue
-        if resp.status_code != 200:
-            raise StatusError(resp.status_code, f"HTTP {resp.status_code} from {url}")
+        if status != 200:
+            raise StatusError(status, f"HTTP {status} from {url}")
         try:
-            return resp.json()
+            return json.loads(raw)
         except ValueError as exc:
             raise StatusError(200, f"malformed payload, not JSON: {exc}") from exc
     attempts = max_retries + 1

@@ -3,6 +3,7 @@ small corpus builders."""
 
 from __future__ import annotations
 
+import contextlib
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -18,16 +19,19 @@ class StubServer:
     Every POST body is recorded in `requests` and its headers, with lowercased
     names, in `headers`; `hits` counts network calls. Queued responses are
     consumed in order and the last one repeats. A bytes body is sent as is,
-    anything else as JSON.
+    anything else as JSON. A raw reply (`enqueue_raw`) is written to the
+    socket verbatim, after an optional delay, and the connection is closed.
     """
 
     def __init__(self):
         self.requests: list[dict] = []
         self.headers: list[dict[str, str]] = []
         self.hits = 0
-        self._queue: list[tuple[int, dict | list | bytes]] = []
+        # (status, body, delay); status None marks a raw reply.
+        self._queue: list[tuple[int | None, dict | list | bytes, float]] = []
         self._dynamic = None
         self._lock = threading.Lock()
+        self._closing = threading.Event()
 
         stub = self
 
@@ -39,12 +43,20 @@ class StubServer:
                     stub.hits += 1
                     stub.requests.append(payload)
                     stub.headers.append({k.lower(): v for k, v in self.headers.items()})
+                    delay = 0.0
                     if stub._dynamic is not None:
                         status, body = stub._dynamic(self.path, payload)
                     elif stub._queue:
-                        status, body = stub._queue.pop(0) if len(stub._queue) > 1 else stub._queue[0]
+                        status, body, delay = stub._queue.pop(0) if len(stub._queue) > 1 else stub._queue[0]
                     else:
                         status, body = 200, {}
+                # close() cuts a delay short, so no handler outlives its test by long.
+                stub._closing.wait(delay)
+                if status is None:
+                    # The client may have timed out and gone already.
+                    with contextlib.suppress(OSError):
+                        self.wfile.write(body)
+                    return
                 data = body if isinstance(body, bytes) else json.dumps(body).encode("utf-8")
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
@@ -68,12 +80,16 @@ class StubServer:
         return f"http://{host}:{port}/v1/chat/completions"
 
     def enqueue(self, status: int, body: dict | list | bytes) -> None:
-        self._queue.append((status, body))
+        self._queue.append((status, body, 0.0))
+
+    def enqueue_raw(self, reply: bytes, delay: float = 0.0) -> None:
+        self._queue.append((None, reply, delay))
 
     def set_handler(self, fn) -> None:
         self._dynamic = fn
 
     def close(self) -> None:
+        self._closing.set()
         self._server.shutdown()
         self._server.server_close()
 

@@ -85,6 +85,17 @@ class TestUsage:
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "error" in err and "message" in err
 
+    def test_failed_ingest_leaves_nothing_and_a_retry_succeeds(self, tmp_path, capsys):
+        bad, good, out = tmp_path / "bad.jsonl", tmp_path / "good.jsonl", tmp_path / "c"
+        bad.write_text('{"id": "p1", "text": "fine"}\n{"id": "p2", "text": "  "}\n', encoding="utf-8")
+        good.write_text('{"id": "p1", "text": "fine"}\n{"id": "p2", "text": "also fine"}\n', encoding="utf-8")
+        assert main(["corpus", "ingest", "--passages", str(bad), "--out", str(out)]) == 1
+        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert err["error"] == "EmptyTextError"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "good.jsonl"]
+        assert main(["corpus", "ingest", "--passages", str(good), "--out", str(out)]) == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["passages"] == 2
+
 
 _QA_ROW = {"id": "q1", "question": "What about marker1?", "golden_answers": ["gadget 1"]}
 _INSTANCE_ROW = {

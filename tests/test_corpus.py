@@ -9,6 +9,7 @@ import pytest
 
 from ragsel.corpus import (
     Corpus,
+    CorpusError,
     DuplicatePassageError,
     EmptyTextError,
     MalformedPassageError,
@@ -149,6 +150,26 @@ def test_ingest_refuses_to_overwrite(tmp_path):
     ingest([{"id": "p1", "text": "a"}], tmp_path / "c")
     with pytest.raises(Exception):
         ingest([{"id": "p2", "text": "b"}], tmp_path / "c")
+
+
+def test_ingest_into_an_empty_directory(tmp_path):
+    (tmp_path / "c").mkdir()
+    assert len(ingest([{"id": "p1", "text": "a"}], tmp_path / "c")) == 1
+
+
+def test_ingest_refuses_a_non_empty_directory(tmp_path):
+    (tmp_path / "c").mkdir()
+    (tmp_path / "c" / "notes.txt").write_text("mine")
+    with pytest.raises(CorpusError, match="not an empty directory"):
+        ingest([{"id": "p1", "text": "a"}], tmp_path / "c")
+    assert [p.name for p in (tmp_path / "c").iterdir()] == ["notes.txt"]
+
+
+def test_failed_ingest_leaves_nothing_behind(tmp_path):
+    with pytest.raises(EmptyTextError):
+        ingest([{"id": "p1", "text": "ok"}, {"id": "p2", "text": " "}], tmp_path / "c")
+    assert list(tmp_path.iterdir()) == []
+    assert len(ingest([{"id": "p1", "text": "ok"}], tmp_path / "c")) == 1
 
 
 def test_stats_file_is_exact_rational(tmp_path):

@@ -112,6 +112,11 @@ class TestGenRequestValidation:
         with pytest.raises(ValueError):
             GenRequest(user_prompt="p", temperature=-0.1)
 
+    @pytest.mark.parametrize("temperature", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_temperature(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            GenRequest(user_prompt="p", temperature=temperature)
+
 
 class TestHttpBackend:
     def _backend(self, url, **kw):

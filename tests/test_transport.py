@@ -1,11 +1,18 @@
 """The one HTTP transport (`llm._post_json`) as both clients see it: retries,
-fail-fast statuses, bearer auth and malformed payloads, injected through the
-loopback StubServer."""
+fail-fast statuses, bearer auth, malformed payloads and broken connections,
+injected through the loopback StubServer."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ragsel
 from conftest import chat_body
-from ragsel.llm import GenRequest, HttpBackend, StatusError
+from ragsel.llm import GenRequest, HttpBackend, StatusError, TransportError
 from ragsel.retrieval import EmbeddingBackendError, EmbeddingClient
 
 TOKEN_ENV = "RAGSEL_TEST_API_TOKEN"
@@ -106,3 +113,76 @@ class TestBearerAuth:
         http_stub.set_handler(_reply)
         call(http_stub.url)
         assert "authorization" not in http_stub.headers[-1]
+
+
+def _ask(url, **kw):
+    return HttpBackend(url, "m", **kw).complete(GenRequest(user_prompt="q"))
+
+
+class TestBrokenConnections:
+    def test_connection_closed_without_a_reply_is_retried(self, http_stub, sleeps):
+        http_stub.enqueue_raw(b"")
+        http_stub.enqueue(200, chat_body("after the drop"))
+        assert _ask(http_stub.url) == "after the drop"
+        assert http_stub.hits == 2
+        assert sleeps == [0.25]
+
+    def test_reply_slower_than_the_timeout_exhausts_the_retries(self, http_stub, sleeps):
+        http_stub.enqueue_raw(b"HTTP/1.0 200 OK\r\nContent-Length: 2\r\n\r\n{}", delay=2.0)
+        with pytest.raises(TransportError, match="timed out") as excinfo:
+            _ask(http_stub.url, max_retries=1, timeout=0.1)
+        assert excinfo.value.attempts == 2
+        assert http_stub.hits == 2
+        assert sleeps == [0.25]
+
+    def test_body_shorter_than_its_content_length_is_a_retried_transport_failure(self, http_stub, sleeps):
+        http_stub.enqueue_raw(b"HTTP/1.0 200 OK\r\nContent-Length: 99\r\n\r\n{}")
+        with pytest.raises(TransportError, match="IncompleteRead") as excinfo:
+            _ask(http_stub.url, max_retries=1)
+        assert excinfo.value.attempts == 2
+        assert http_stub.hits == 2
+        assert sleeps == [0.25]
+
+
+def test_redirect_is_not_followed(http_stub, sleeps):
+    http_stub.enqueue_raw(
+        f"HTTP/1.0 302 Found\r\nLocation: {http_stub.url}\r\nContent-Length: 0\r\n\r\n".encode()
+    )
+    with pytest.raises(StatusError, match="HTTP 302 from") as excinfo:
+        _ask(http_stub.url)
+    assert excinfo.value.status == 302
+    assert http_stub.hits == 1
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("scheme", ["file", "data", "ftp"])
+def test_only_http_and_https_urls_are_opened(tmp_path, sleeps, scheme):
+    leaked = json.dumps(chat_body("read from the URL"))
+    (tmp_path / "reply.json").write_text(leaked, encoding="utf-8")
+    url = {
+        "file": (tmp_path / "reply.json").as_uri(),
+        "data": "data:application/json," + leaked,
+        "ftp": "ftp://127.0.0.1:1/reply.json",
+    }[scheme]
+    with pytest.raises(TransportError, match="not http or https") as excinfo:
+        _ask(url)
+    assert excinfo.value.attempts == 1
+    assert sleeps == []
+    with pytest.raises(EmbeddingBackendError, match="not http or https"):
+        EmbeddingClient(url).embed(["q"])
+
+
+def test_malformed_url_fails_at_once(sleeps):
+    with pytest.raises(TransportError, match="malformed URL") as excinfo:
+        _ask("http://[::1/v1/chat/completions")
+    assert excinfo.value.attempts == 1
+    assert sleeps == []
+
+
+def test_the_cli_does_not_import_requests():
+    src = Path(ragsel.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", "import ragsel.cli, sys; print('requests' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert out.stdout.strip() == "False"
