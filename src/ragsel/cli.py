@@ -8,7 +8,8 @@ in manifests: config names the environment variable holding the token, not
 the token itself.
 
 Exit codes: 0 success, 1 runtime failure (with a machine-readable JSON error
-line on stderr), 2 usage errors.
+line on stderr), 2 usage errors. A `run` in which every record carries an
+error is a runtime failure, though its results file is still written.
 """
 
 from __future__ import annotations
@@ -31,6 +32,11 @@ from .errors import RagselError
 from .llm import Backend, CachedBackend, HttpBackend, ScriptedBackend
 from .manifest import write_manifest
 from .retrieval import Bm25Index, EmbeddingClient, RetrievalConfig, build_index, index_files
+
+
+class AllRecordsFailedError(RagselError):
+    """Every record of a non-empty run carries an error."""
+
 
 ENV_CONFIG_PATH = "SELECTOR_RAG_CONFIG"
 ENV_PREFIX = "SELECTOR_RAG_"
@@ -218,7 +224,12 @@ def cmd_run(args, settings: Settings, argv: list[str]) -> int:
         seeds={"order_seed": settings.get("seed", args.seed)},
         inputs=inputs + settings.input_files(),
     )
-    _emit({"records": len(records), "out": str(args.out), "audit": pipeline.audit_selection(records)})
+    audit = pipeline.audit_selection(records)
+    _emit({"records": len(records), "out": str(args.out), "audit": audit})
+    if records and audit["errors"] == len(records):
+        raise AllRecordsFailedError(
+            f"all {len(records)} records carry an error; the first: {records[0].error}"
+        )
     return 0
 
 

@@ -90,7 +90,7 @@ def accuracy(pred: str, golds: Sequence[str]) -> int:
     """1 iff the normalized prediction contains some normalized gold as a substring."""
     _require_golds(golds)
     pred_n = normalize(pred)
-    return int(any(normalize(g) in pred_n for g in golds if normalize(g)))
+    return int(any(gold and gold in pred_n for gold in map(normalize, golds)))
 
 
 @dataclass

@@ -10,8 +10,9 @@ Every failure maps to exactly one of:
   exhausted. A URL whose scheme is not http or https is raised at once,
   before anything is opened.
 - StatusError: an HTTP status other than 200, a reply that is not JSON, or a
-  malformed completion payload. 429 and 5xx are retried first; every other
-  status fails at once, a 3xx too, because no redirect is followed.
+  malformed completion payload. 429 and 5xx are retried first, a 429 or 503
+  no sooner than its `Retry-After` seconds; every other status fails at
+  once, a 3xx too, because no redirect is followed.
 - ScriptMissError: the scripted backend has no matching key.
 The embedding client re-raises the first two as EmbeddingBackendError.
 Parsing of the completion text is the caller's problem, by design.
@@ -26,6 +27,7 @@ import http.client
 import json
 import math
 import os
+import re
 import tempfile
 import threading
 import time
@@ -33,6 +35,7 @@ import urllib.error
 import urllib.parse
 import urllib.request
 from dataclasses import dataclass
+from email.message import Message
 from pathlib import Path
 from typing import Iterable, Protocol
 
@@ -106,6 +109,12 @@ class Backend(Protocol):
     def complete(self, request: GenRequest) -> str: ...
 
 
+def in_flight_cap(backend: Backend) -> int:
+    """How many requests the backend takes at once: its `max_in_flight`, or
+    1 for a backend that declares none, as every in-process one does."""
+    return getattr(backend, "max_in_flight", 1)
+
+
 def _normalize_key(text: str) -> str:
     return " ".join(text.lower().split())
 
@@ -170,6 +179,8 @@ class ScriptedBackend:
 
 
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
+_RETRY_AFTER_STATUSES = {429, 503}
+_DELAY_SECONDS = re.compile(r"[0-9]+")
 
 
 @functools.cache
@@ -190,15 +201,22 @@ def _opener() -> urllib.request.OpenerDirector:
     return opener
 
 
-def _send(request: urllib.request.Request, timeout: float) -> tuple[int, bytes]:
-    """One POST: its status and whole body. The body of an error status is
-    discarded unread."""
+def _send(request: urllib.request.Request, timeout: float) -> tuple[int, bytes, Message]:
+    """One POST: its status, whole body and headers. The body of an error
+    status is discarded unread."""
     try:
         with _opener().open(request, timeout=timeout) as resp:
-            return resp.status, resp.read()
+            return resp.status, resp.read(), resp.headers
     except urllib.error.HTTPError as exc:
         exc.close()
-        return exc.code, b""
+        return exc.code, b"", exc.headers
+
+
+def _retry_after(headers: Message) -> float:
+    """The wait a `Retry-After: <seconds>` header asks for; 0 when the header
+    is absent or holds anything else, such as an HTTP date."""
+    value = (headers.get("Retry-After") or "").strip()
+    return float(value) if _DELAY_SECONDS.fullmatch(value) else 0.0
 
 
 def _post_json(url: str, body: dict, *, api_key_env: str | None = None, max_retries: int = 3,
@@ -208,8 +226,10 @@ def _post_json(url: str, body: dict, *, api_key_env: str | None = None, max_retr
 
     A bearer token is sent when the variable named by `api_key_env` is set.
     Connection errors, timeouts, truncated replies and 429/5xx are retried up
-    to `max_retries` more times with exponential backoff; other non-200
-    statuses fail at once. Only http and https URLs are opened.
+    to `max_retries` more times with exponential backoff; a 429 or 503 that
+    carries `Retry-After: <seconds>` waits for the longer of that and the
+    backoff. Other non-200 statuses fail at once. Only http and https URLs
+    are opened.
     `slots`, when given, caps the requests in flight across its sharers.
     """
     try:
@@ -223,19 +243,20 @@ def _post_json(url: str, body: dict, *, api_key_env: str | None = None, max_retr
     token = os.environ.get(api_key_env, "") if api_key_env else ""
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    last_transport, last_status = "unknown transport failure", None
+    last_transport, last_status, asked_wait = "unknown transport failure", None, 0.0
     for attempt in range(max_retries + 1):
         if attempt:
-            time.sleep(backoff_base * (2 ** (attempt - 1)))
+            time.sleep(max(backoff_base * (2 ** (attempt - 1)), asked_wait))
         request = urllib.request.Request(url, data=data, headers=headers, method="POST")
         try:
             with slots or contextlib.nullcontext():
-                status, raw = _send(request, timeout)
+                status, raw, reply_headers = _send(request, timeout)
         except (OSError, http.client.HTTPException) as exc:
-            last_transport, last_status = f"{type(exc).__name__}: {exc}", None
+            last_transport, last_status, asked_wait = f"{type(exc).__name__}: {exc}", None, 0.0
             continue
         if status in _RETRYABLE_STATUSES:
             last_status = status
+            asked_wait = _retry_after(reply_headers) if status in _RETRY_AFTER_STATUSES else 0.0
             continue
         if status != 200:
             raise StatusError(status, f"HTTP {status} from {url}")
@@ -253,8 +274,10 @@ class HttpBackend:
     """OpenAI-style chat-completions client over `_post_json`.
 
     Transient failures are retried up to `max_retries` extra attempts.
-    Concurrent callers share a semaphore capping in-flight requests; each
-    call returns its own response, never another caller's.
+    Concurrent callers share a semaphore capping in-flight requests at
+    `max_in_flight`; each call returns its own response, never another
+    caller's. The candidate stage reads `max_in_flight` to decide whether
+    an item's two candidate requests may go out together.
     """
 
     def __init__(
@@ -274,6 +297,7 @@ class HttpBackend:
         self.backoff_base = backoff_base
         self.timeout = timeout
         self.tag = f"http:{model_name}"
+        self.max_in_flight = max_in_flight
         self._slots = threading.Semaphore(max_in_flight)
 
     def _body(self, request: GenRequest) -> dict:
@@ -310,12 +334,14 @@ class CachedBackend:
     """Replay cache around any backend: one file per request fingerprint.
 
     A cache hit performs zero network calls and returns byte-identical text.
-    Each entry is written whole or not at all.
+    Each entry is written whole or not at all. The inner backend's
+    `max_in_flight` is forwarded; an inner backend without one counts as 1.
     """
 
     def __init__(self, inner: Backend, cache_dir: str | Path):
         self.inner = inner
         self.tag = inner.tag
+        self.max_in_flight = in_flight_cap(inner)
         self.cache_dir = Path(cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
 

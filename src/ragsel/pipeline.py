@@ -14,6 +14,7 @@ and is parsed by splitting on the LAST "Answer:" marker, case-insensitively.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -27,7 +28,7 @@ from .corpus import Passage
 from .data import QAPair, Record, decode_failure, read_records, stable_hash_int, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
-from .llm import Backend, GatewayError, GenRequest, generate
+from .llm import Backend, GatewayError, GenRequest, generate, in_flight_cap
 
 SOURCE_INTERNAL = "internal"
 SOURCE_RETRIEVAL = "retrieval"
@@ -308,6 +309,64 @@ def gen_retrieved_answer(
     return gen_rag_answer(backend, prompts, question, passages, budget=budget, max_tokens=max_tokens)
 
 
+def gen_both_answers(
+    backend: Backend,
+    prompts: PromptSet,
+    question: str,
+    index,
+    corpus,
+    top_k: int,
+    *,
+    memory_first: bool,
+    budget: int | None = None,
+    max_tokens: int = 512,
+) -> tuple[CandidateResponse, tuple[CandidateResponse, list[str]] | None]:
+    """The memory-only candidate and gen_retrieved_answer's result for one
+    question: the candidate stage of both `ragsel run` and `rgp build`.
+
+    When the backend takes two or more requests at once (llm.in_flight_cap),
+    the memory-only request goes out on the helper thread while this thread
+    retrieves, fetches the passages and sends the grounded request. Otherwise
+    the two run one after the other, the memory-only one first when
+    memory_first. Either way the error raised is the one the serial order
+    meets first; overlapped, the other request may have gone out too.
+    """
+
+    def memory() -> CandidateResponse:
+        return gen_llm_answer(backend, prompts, question, max_tokens=max_tokens)
+
+    def retrieved() -> tuple[CandidateResponse, list[str]] | None:
+        return gen_retrieved_answer(
+            backend, prompts, question, index, corpus, top_k, budget=budget, max_tokens=max_tokens
+        )
+
+    if in_flight_cap(backend) < 2:
+        if memory_first:
+            internal = memory()
+            return internal, retrieved()
+        grounded = retrieved()
+        return memory(), grounded
+    pending = _helper().submit(memory)
+    try:
+        grounded = retrieved()
+    except Exception:
+        # Wait for the memory-only request either way, so items stay one at a time.
+        memory_error = pending.exception()
+        if memory_first and memory_error is not None:
+            raise memory_error
+        raise
+    return pending.result(), grounded
+
+
+@functools.cache
+def _helper() -> ThreadPoolExecutor:
+    """One thread, started on first use and kept for the process, that sends
+    memory-only requests for gen_both_answers; concurrent callers queue on
+    it. A new thread for each item made a warm-cache replay about a third
+    slower on a 2-core host."""
+    return ThreadPoolExecutor(1, thread_name_prefix="ragsel-memory")
+
+
 def _match_choice(
     parsed_answer: str, first: CandidateResponse, second: CandidateResponse
 ) -> CandidateResponse | None:
@@ -399,17 +458,18 @@ def run_dataset(
     order_seed: int = 0,
     budget: int | None = None,
     max_tokens: int = 512,
-    max_workers: int = 1,
 ) -> list[SelectionRecord]:
     """One SelectionRecord per QA pair, in input order, whatever happens.
 
-    llm_only records carry no grounded candidate; standard_rag records carry
-    no internal candidate and the final answer is the grounded one, from
-    gen_retrieved_answer as in rgp.generate_candidates. When retrieval finds
-    nothing, the grounded slot falls back to the memory-only answer (in
-    self_select, the internal candidate itself, with no second call) and
-    passages_used stays empty. Per-item failures land in the record's error
-    field and never abort the batch.
+    Items run one at a time. llm_only records carry no grounded candidate;
+    standard_rag records carry no internal candidate and the final answer is
+    the grounded one, from gen_retrieved_answer. self_select takes both
+    candidates from gen_both_answers, as rgp.generate_candidates does, and
+    then asks the model to pick. When retrieval finds nothing, the grounded
+    slot falls back to the memory-only answer (in self_select, the internal
+    candidate itself, with no second call) and passages_used stays empty.
+    Per-item failures land in the record's error field and never abort the
+    batch.
     """
     if mode not in MODES:
         raise PipelineError(f"unknown mode {mode!r}")
@@ -428,11 +488,11 @@ def run_dataset(
                     final_explanation=cand.explanation,
                     chosen_source=SOURCE_INTERNAL,
                 )
-            retrieved = gen_retrieved_answer(
-                backend, prompts, qa.question, index, corpus, top_k,
-                budget=budget, max_tokens=max_tokens,
-            )
             if mode == MODE_STANDARD_RAG:
+                retrieved = gen_retrieved_answer(
+                    backend, prompts, qa.question, index, corpus, top_k,
+                    budget=budget, max_tokens=max_tokens,
+                )
                 if retrieved is None:
                     retrieved = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens), []
                 grounded, used = retrieved
@@ -446,7 +506,10 @@ def run_dataset(
                     presentation_order=ORDER_RETRIEVAL_FIRST,
                     passages_used=used,
                 )
-            internal = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)
+            internal, retrieved = gen_both_answers(
+                backend, prompts, qa.question, index, corpus, top_k,
+                memory_first=False, budget=budget, max_tokens=max_tokens,
+            )
             grounded, used = retrieved or (internal, [])
             return select(
                 backend,
@@ -466,9 +529,6 @@ def run_dataset(
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one, qa_pairs))
     return [one(qa) for qa in qa_pairs]
 
 

@@ -27,8 +27,7 @@ from .pipeline import (
     PromptSet,
     SOURCE_INTERNAL,
     SOURCE_RETRIEVAL,
-    gen_llm_answer,
-    gen_retrieved_answer,
+    gen_both_answers,
     load_template,
 )
 
@@ -121,16 +120,19 @@ def generate_candidates(
 ) -> CandidateBundle:
     """Produce both candidates for one query.
 
-    The grounded one comes from pipeline.gen_retrieved_answer, shared with
-    run_dataset; rng_seed alone fixes how many passages it sees (uniform on
-    1..5, capped by what retrieval returns). No passages, or a generation
-    failure, is recorded on the bundle as its error, which build quarantines.
+    Both come from pipeline.gen_both_answers, shared with run_dataset, which
+    sends the two requests together when the backend takes two at once;
+    serially, the memory-only one goes first, and its error wins when both
+    fail. rng_seed alone fixes how many passages the grounded candidate sees
+    (uniform on 1..5, capped by what retrieval returns). No passages, or a
+    generation failure, is recorded on the bundle as its error, which build
+    quarantines.
     """
     n_requested = random.Random(rng_seed).randint(1, 5)
     try:
-        internal = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)
-        retrieved = gen_retrieved_answer(
-            backend, prompts, qa.question, index, corpus, n_requested, max_tokens=max_tokens
+        internal, retrieved = gen_both_answers(
+            backend, prompts, qa.question, index, corpus, n_requested,
+            memory_first=True, max_tokens=max_tokens,
         )
     except (GatewayError, RagselError) as exc:
         return CandidateBundle(qa=qa, error=f"{type(exc).__name__}: {exc}")

@@ -17,19 +17,25 @@ class StubServer:
     """Local HTTP server that replays queued responses or calls a handler.
 
     Every POST body is recorded in `requests` and its headers, with lowercased
-    names, in `headers`; `hits` counts network calls. Queued responses are
+    names, in `headers`; `hits` counts network calls, and `peak_in_flight` is
+    the most requests it has held unanswered at once. Queued responses are
     consumed in order and the last one repeats. A bytes body is sent as is,
     anything else as JSON. A raw reply (`enqueue_raw`) is written to the
     socket verbatim, after an optional delay, and the connection is closed.
+    Each reply of a handler (`set_handler`) waits its delay, outside the lock
+    that serialises the handler's calls.
     """
 
     def __init__(self):
         self.requests: list[dict] = []
         self.headers: list[dict[str, str]] = []
         self.hits = 0
+        self.peak_in_flight = 0
+        self._in_flight = 0
         # (status, body, delay); status None marks a raw reply.
         self._queue: list[tuple[int | None, dict | list | bytes, float]] = []
         self._dynamic = None
+        self._dynamic_delay = 0.0
         self._lock = threading.Lock()
         self._closing = threading.Event()
 
@@ -41,17 +47,24 @@ class StubServer:
                 payload = json.loads(self.rfile.read(length) or b"{}")
                 with stub._lock:
                     stub.hits += 1
+                    stub._in_flight += 1
+                    stub.peak_in_flight = max(stub.peak_in_flight, stub._in_flight)
                     stub.requests.append(payload)
                     stub.headers.append({k.lower(): v for k, v in self.headers.items()})
                     delay = 0.0
                     if stub._dynamic is not None:
                         status, body = stub._dynamic(self.path, payload)
+                        delay = stub._dynamic_delay
                     elif stub._queue:
                         status, body, delay = stub._queue.pop(0) if len(stub._queue) > 1 else stub._queue[0]
                     else:
                         status, body = 200, {}
                 # close() cuts a delay short, so no handler outlives its test by long.
                 stub._closing.wait(delay)
+                # Counted out before the reply, so that a request sent after
+                # it never reads as overlapping it.
+                with stub._lock:
+                    stub._in_flight -= 1
                 if status is None:
                     # The client may have timed out and gone already.
                     with contextlib.suppress(OSError):
@@ -85,8 +98,9 @@ class StubServer:
     def enqueue_raw(self, reply: bytes, delay: float = 0.0) -> None:
         self._queue.append((None, reply, delay))
 
-    def set_handler(self, fn) -> None:
+    def set_handler(self, fn, delay: float = 0.0) -> None:
         self._dynamic = fn
+        self._dynamic_delay = delay
 
     def close(self) -> None:
         self._closing.set()

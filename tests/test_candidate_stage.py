@@ -2,8 +2,9 @@
 
 Byte pins on the acceptance desk scenario hold every output of both callers
 to the SHA-256 it had before they shared one stage; the remaining tests cover
-the stage's edges: empty retrieval, prompt budgets, per-item errors, and the
-module-global lookup that `rgp.build` makes for each item.
+the stage's edges: empty retrieval, prompt budgets, per-item errors, the
+module-global lookup that `rgp.build` makes for each item, and the overlap of
+an item's two candidate requests over HTTP.
 """
 
 import hashlib
@@ -11,11 +12,11 @@ import json
 
 import pytest
 
-from conftest import make_corpus
+from conftest import chat_body, make_corpus
 from ragsel import rgp
 from ragsel.cli import main as cli_main
 from ragsel.data import QAPair, stable_hash_int
-from ragsel.llm import ScriptedBackend
+from ragsel.llm import GenRequest, HttpBackend, ScriptedBackend
 from ragsel.pipeline import (
     MODE_LLM_ONLY,
     MODE_SELF_SELECT,
@@ -194,3 +195,85 @@ def test_build_calls_generate_candidates_through_the_module_attribute(tmp_path, 
     assert seen == ["q0", "q1", "q2"]
     assert [i.to_dict() for i in instances] == [i.to_dict() for i in expected]
     assert report.kept == 3
+
+
+_ONE_ITEM_SCRIPT = {
+    "using your own knowledge": "Explanation: m. Answer: right",
+    "using the passages": "Explanation: p. Answer: wrong",
+    "two candidate responses": "Explanation: s. Answer: right",
+}
+
+
+def test_in_process_backend_keeps_the_serial_call_order(tmp_path):
+    corpus, index = _shared_topic(tmp_path)
+    prompts = PromptSet.default()
+    qa = QAPair(id="q1", question="shared topic?", golden_answers=["right"])
+    spy = _Spy(ScriptedBackend(_ONE_ITEM_SCRIPT))
+    (record,) = run_dataset(MODE_SELF_SELECT, [qa], spy, prompts, index=index, corpus=corpus)
+    rag_prompt = prompts.rag_prompt(qa.question, [corpus.get(pid) for pid in record.passages_used])
+    assert spy.prompts[:2] == [rag_prompt, prompts.llm_only_prompt(qa.question)]
+    assert "Candidate 2:" in spy.prompts[2] and len(spy.prompts) == 3
+
+    spy.prompts.clear()
+    bundle = rgp.generate_candidates(qa, index, corpus, spy, prompts, rng_seed=5)
+    used = [corpus.get(pid) for pid, _s in index.retrieve(qa.question, bundle.n_passages_used).hits]
+    assert spy.prompts == [prompts.llm_only_prompt(qa.question), prompts.rag_prompt(qa.question, used)]
+
+
+def _serve_script(http_stub, backend: ScriptedBackend, delay: float = 0.0) -> None:
+    """Answer each chat request as the scripted backend would."""
+
+    def handler(path, payload):
+        return 200, chat_body(backend.complete(GenRequest(user_prompt=payload["messages"][-1]["content"])))
+
+    http_stub.set_handler(handler, delay)
+
+
+def test_http_outputs_are_byte_identical_at_one_and_four_in_flight(tmp_path, http_stub, monkeypatch):
+    qa_path, script_path, index_dir = _desk_files(tmp_path)
+    _serve_script(http_stub, ScriptedBackend.from_jsonl(script_path))
+    common = ["--qa", str(qa_path), "--index", str(index_dir), "--endpoint", http_stub.url]
+    hits = {}
+    for cap in (1, 4):
+        monkeypatch.setenv("SELECTOR_RAG_MAX_IN_FLIGHT", str(cap))
+        before = http_stub.hits
+        out = tmp_path / f"self-select-{cap}.jsonl"
+        assert cli_main(["run", "--mode", "self-select", *common, "--seed", "17", "--out", str(out)]) == 0
+        assert _sha256(out) == PINNED_SHA256["self-select"]
+        out = tmp_path / f"rgp-build-{cap}.jsonl"
+        argv = ["rgp", "build", *common, "--judge", "lexical", "--seed", "21", "--out", str(out)]
+        assert cli_main(argv) == 0
+        assert _sha256(out) == PINNED_SHA256["rgp-build"]
+        hits[cap] = http_stub.hits - before
+    assert hits[1] == hits[4] == 10 * 3 + 10 * 2
+
+
+@pytest.mark.parametrize("cap, peak", [(1, 1), (4, 2)])
+def test_an_item_sends_its_two_candidate_requests_together_only_above_one_in_flight(
+    tmp_path, http_stub, cap, peak
+):
+    corpus, index = _shared_topic(tmp_path)
+    _serve_script(http_stub, ScriptedBackend(_ONE_ITEM_SCRIPT), delay=0.2)
+    backend = HttpBackend(http_stub.url, "m", max_in_flight=cap)
+    qa = QAPair(id="q1", question="shared topic?", golden_answers=["right"])
+    (record,) = run_dataset(MODE_SELF_SELECT, [qa], backend, PromptSet.default(), index=index, corpus=corpus)
+    assert record.error is None and record.final_answer == "right"
+    assert http_stub.hits == 3
+    assert http_stub.peak_in_flight == peak
+
+
+@pytest.mark.parametrize("cap", [1, 4])
+def test_when_both_requests_fail_the_serial_error_is_recorded(tmp_path, http_stub, cap):
+    corpus, index = _shared_topic(tmp_path)
+
+    def handler(path, payload):
+        # 400 for the memory-only prompt, 404 for the passage prompt.
+        return (400 if "using your own knowledge" in payload["messages"][-1]["content"] else 404), {}
+
+    http_stub.set_handler(handler)
+    backend = HttpBackend(http_stub.url, "m", max_retries=0, max_in_flight=cap)
+    qa = QAPair(id="q1", question="shared topic?", golden_answers=["right"])
+    (record,) = run_dataset(MODE_SELF_SELECT, [qa], backend, PromptSet.default(), index=index, corpus=corpus)
+    assert record.error == f"StatusError: HTTP 404 from {http_stub.url}"
+    bundle = rgp.generate_candidates(qa, index, corpus, backend, PromptSet.default(), rng_seed=5)
+    assert bundle.error == f"StatusError: HTTP 400 from {http_stub.url}"

@@ -485,6 +485,56 @@ class TestHttpBackendThroughCli:
         assert all(row["final_answer"] for row in rows)
 
 
+class TestRunWhereEveryRecordFails:
+    def _index(self, tmp_path, capsys):
+        passages_path, qa_path, script_path = _desk_inputs(tmp_path)
+        corpus_dir, index_dir = tmp_path / "corpus", tmp_path / "index"
+        assert main(["corpus", "ingest", "--passages", str(passages_path), "--out", str(corpus_dir)]) == 0
+        assert main(["index", "build", "--corpus", str(corpus_dir), "--out", str(index_dir)]) == 0
+        capsys.readouterr()
+        return qa_path, script_path, index_dir
+
+    def _assert_failed_run(self, capsys, out, n, first_error):
+        captured = capsys.readouterr()
+        err = json.loads(captured.err.strip().splitlines()[-1])
+        assert err["error"] == "AllRecordsFailedError"
+        assert err["message"].startswith(f"all {n} records carry an error; the first: {first_error}")
+        assert json.loads(captured.out.strip().splitlines()[-1])["audit"]["errors"] == n
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        assert len(rows) == n and all(row["error"] for row in rows)
+
+    def test_dead_endpoint_exits_one(self, tmp_path, http_stub, capsys, monkeypatch):
+        qa_path, _script, index_dir = self._index(tmp_path, capsys)
+        monkeypatch.setenv("SELECTOR_RAG_MAX_RETRIES", "0")
+        http_stub.enqueue_raw(b"")  # every connection closes without a reply
+        out = tmp_path / "results.jsonl"
+        argv = ["run", "--mode", "self-select", "--qa", str(qa_path), "--index", str(index_dir),
+                "--endpoint", http_stub.url, "--out", str(out)]
+        assert main(argv) == 1
+        self._assert_failed_run(capsys, out, 4, "TransportError: transport failure after 1 attempt(s)")
+
+    def test_corpus_that_is_not_the_index_s_exits_one(self, tmp_path, capsys):
+        qa_path, script_path, index_dir = self._index(tmp_path, capsys)
+        other = tmp_path / "other.jsonl"
+        _write_jsonl(other, [{"id": "x1", "text": "an unrelated passage"}])
+        assert main(["corpus", "ingest", "--passages", str(other), "--out", str(tmp_path / "other")]) == 0
+        out = tmp_path / "results.jsonl"
+        argv = ["run", "--mode", "self-select", "--qa", str(qa_path), "--index", str(index_dir),
+                "--corpus", str(tmp_path / "other"), "--script", str(script_path), "--out", str(out)]
+        assert main(argv) == 1
+        self._assert_failed_run(capsys, out, 4, "PassageNotFoundError: ")
+
+    def test_some_records_failing_still_exits_zero(self, tmp_path, capsys):
+        qa_path, script_path, index_dir = self._index(tmp_path, capsys)
+        rows = [json.loads(line) for line in script_path.read_text().splitlines()]
+        _write_jsonl(script_path, [r for r in rows if "marker1" not in r["match_key"]])
+        out = tmp_path / "results.jsonl"
+        argv = ["run", "--mode", "self-select", "--qa", str(qa_path), "--index", str(index_dir),
+                "--script", str(script_path), "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["audit"]["errors"] == 1
+
+
 class TestConfigLayering:
     def test_file_then_env_override(self, tmp_path, capsys, monkeypatch):
         passages_path, qa_path, script_path = _desk_inputs(tmp_path)

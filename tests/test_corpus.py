@@ -101,7 +101,7 @@ def test_get_from_eight_threads_at_once(tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=8) as pool:
+        with ThreadPoolExecutor(8) as pool:
             results = list(pool.map(lambda ids: [(pid, handle.get(pid)) for pid in ids], orders, timeout=30))
     finally:
         sys.setswitchinterval(interval)

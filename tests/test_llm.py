@@ -196,6 +196,12 @@ class TestCachedBackend:
         assert backend.complete(GenRequest(user_prompt="b")) == "reply two"
         assert http_stub.hits == 2
 
+    def test_forwards_the_inner_in_flight_cap(self, tmp_path):
+        http = HttpBackend("http://127.0.0.1:1/v1", model_name="m", max_in_flight=3)
+        assert CachedBackend(http, tmp_path / "a").max_in_flight == 3
+        assert CachedBackend(ScriptedBackend({}), tmp_path / "b").max_in_flight == 1
+        assert llm.in_flight_cap(ScriptedBackend({})) == 1
+
     def test_cache_works_over_scripted_backend_too(self, tmp_path):
         backend = CachedBackend(ScriptedBackend({"q": "r"}), tmp_path / "cache")
         assert backend.complete(GenRequest(user_prompt="q one")) == "r"

@@ -326,17 +326,6 @@ class TestRunDataset:
         assert records[1].chosen_source == SOURCE_RETRIEVAL
         assert records[2].final_answer == "bogus 3"
 
-    def test_parallel_run_preserves_input_order(self, tmp_path):
-        corpus, index, qa, backend = _desk_fixture(tmp_path)
-        sequential = run_dataset(
-            MODE_SELF_SELECT, qa, backend, PromptSet.default(), index=index, corpus=corpus
-        )
-        parallel = run_dataset(
-            MODE_SELF_SELECT, qa, backend, PromptSet.default(), index=index, corpus=corpus,
-            max_workers=4,
-        )
-        assert [r.to_dict() for r in parallel] == [r.to_dict() for r in sequential]
-
     def test_per_item_errors_do_not_abort_batch(self, tmp_path):
         corpus, index, qa, backend = _desk_fixture(tmp_path)
         bad = qa + [QAPair(id="qX", question="unknown topic entirely", golden_answers=["?"])]

@@ -119,6 +119,37 @@ def _ask(url, **kw):
     return HttpBackend(url, "m", **kw).complete(GenRequest(user_prompt="q"))
 
 
+class TestRetryAfter:
+    @pytest.mark.parametrize(
+        "status, retry_after, waited",
+        [
+            (429, "3", 3.0),
+            (503, "2", 2.0),
+            (429, "0", 0.25),  # shorter than the backoff
+            (503, "Wed, 21 Oct 2015 07:28:00 GMT", 0.25),  # a date is not read
+            (429, "1.5", 0.25),  # nor a fraction
+            (500, "3", 0.25),  # only 429 and 503 are read
+        ],
+    )
+    def test_wait_is_the_longer_of_retry_after_and_the_backoff(
+        self, http_stub, sleeps, status, retry_after, waited
+    ):
+        http_stub.enqueue_raw(
+            f"HTTP/1.0 {status} Busy\r\nRetry-After: {retry_after}\r\nContent-Length: 0\r\n\r\n".encode()
+        )
+        http_stub.enqueue(200, chat_body("after the wait"))
+        assert _ask(http_stub.url) == "after the wait"
+        assert http_stub.hits == 2
+        assert sleeps == [waited]
+
+    def test_a_later_reply_without_the_header_waits_the_backoff(self, http_stub, sleeps):
+        http_stub.enqueue_raw(b"HTTP/1.0 429 Busy\r\nRetry-After: 5\r\nContent-Length: 0\r\n\r\n")
+        http_stub.enqueue(503, {})
+        http_stub.enqueue(200, chat_body("done"))
+        assert _ask(http_stub.url) == "done"
+        assert sleeps == [5.0, 0.5]
+
+
 class TestBrokenConnections:
     def test_connection_closed_without_a_reply_is_retried(self, http_stub, sleeps):
         http_stub.enqueue_raw(b"")
