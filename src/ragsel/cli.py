@@ -1,25 +1,39 @@
 """Single entrypoint binding every module into subcommands.
 
-Settings layer as defaults < config file < flags < environment. The config
-file is flat `key = value` lines, found via --config or the
-SELECTOR_RAG_CONFIG environment variable; per-key environment overrides use
-the SELECTOR_RAG_ prefix (e.g. SELECTOR_RAG_TOP_K=3). Secrets never appear
-in manifests: config names the environment variable holding the token, not
-the token itself.
+`main` resolves every setting once, before any handler runs. Settings layer
+as defaults < config file < flags < environment. The config file is flat
+`key = value` lines, found via --config or the SELECTOR_RAG_CONFIG
+environment variable; per-key environment overrides use the SELECTOR_RAG_
+prefix (e.g. SELECTOR_RAG_TOP_K=3). Each value is parsed by its type and
+checked against its range in `_SETTINGS`, for every command whether it reads
+the key or not, and set on `args` under its key. Secrets never appear in
+manifests: config names the environment variable holding the token, not the
+token itself.
+
+A handler takes only `args` and returns an `Outcome`. `_finish` writes all
+of a command's bookkeeping from it: the optional `--out` JSON, whole or not
+at all; then the manifest beside `--out` (command line, the named settings,
+seeds, and the digests of the inputs and the config file); then the stdout
+line.
 
 Exit codes: 0 success, 1 runtime failure (with a machine-readable JSON error
-line on stderr), 2 usage errors. A `run` in which every record carries an
-error is a runtime failure, though its results file is still written.
+line on stderr), 2 usage errors, among them a setting that does not parse or
+is out of range (`{"error": "SettingError", ...}` on stderr). A `run` in
+which every record carries an error, or an `rgp build` in which every item
+is quarantined, is a runtime failure, though its output and manifest are
+still written.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 from . import augment as augment_mod
 from . import corpus as corpus_mod
@@ -27,7 +41,7 @@ from . import dpo as dpo_mod
 from . import evaluation
 from . import pipeline
 from . import rgp as rgp_mod
-from .data import load_qa_file
+from .data import load_qa_file, write_atomic
 from .errors import RagselError
 from .llm import Backend, CachedBackend, HttpBackend, ScriptedBackend
 from .manifest import write_manifest
@@ -35,95 +49,144 @@ from .retrieval import Bm25Index, EmbeddingClient, RetrievalConfig, build_index,
 
 
 class AllRecordsFailedError(RagselError):
-    """Every record of a non-empty run carries an error."""
+    """Nothing in a non-empty batch succeeded: every record of a run carries
+    an error, or every item of an rgp build was quarantined."""
+
+
+class SettingError(RagselError):
+    """A setting's value does not parse or is out of range."""
 
 
 ENV_CONFIG_PATH = "SELECTOR_RAG_CONFIG"
 ENV_PREFIX = "SELECTOR_RAG_"
 
-_DEFAULTS: dict[str, Any] = {
-    "endpoint_url": "",
-    "api_key_env": "",
-    "model_name": "default",
-    "max_retries": 3,
-    "max_in_flight": 4,
-    "top_k": 5,
-    "k1": 1.2,
-    "b": 0.75,
-    "shots": 0,
-    "seed": 0,
-    "beta": 0.1,
-    "k": 2,
-    "judge": "lexical",
-    "similarity": "lexical",
-    "budget": 0,  # 0 = no prompt budget
-    "max_tokens": 512,
+
+def _checked(kind: type, ok: Callable[[Any], bool], rule: str) -> Callable[[Any], Any]:
+    """A parser converting by `kind` that accepts only values `ok` accepts."""
+
+    def parse(raw: Any) -> Any:
+        value = kind(raw)
+        if not ok(value):
+            raise ValueError(f"must be {rule}")
+        return value
+
+    return parse
+
+
+def _at_least(low: int) -> Callable[[Any], Any]:
+    return _checked(int, lambda value: value >= low, f">= {low}")
+
+
+def _one_of(*choices: str) -> Callable[[Any], Any]:
+    return _checked(str, lambda value: value in choices, " or ".join(choices))
+
+
+_POSITIVE = _checked(float, lambda value: 0 < value < math.inf, "finite and > 0")
+
+# key -> (default, parser); a flag's dest is its key.
+_SETTINGS: dict[str, tuple[Any, Callable[[Any], Any]]] = {
+    "endpoint_url": ("", str),
+    "api_key_env": ("", str),
+    "model_name": ("default", str),
+    "max_retries": (3, _at_least(0)),
+    "max_in_flight": (4, _at_least(1)),
+    "top_k": (5, _at_least(1)),
+    "k1": (1.2, _POSITIVE),
+    "b": (0.75, _checked(float, lambda value: 0 <= value <= 1, "in [0, 1]")),
+    "shots": (0, _checked(int, lambda value: value in (0, 3), "0 or 3")),
+    "seed": (0, int),
+    "beta": (0.1, _POSITIVE),
+    "k": (2, _at_least(0)),
+    "judge": (rgp_mod.JUDGE_LEXICAL, _one_of(rgp_mod.JUDGE_LLM, rgp_mod.JUDGE_LEXICAL)),
+    "similarity": (augment_mod.SIM_LEXICAL, _one_of(augment_mod.SIM_EMBEDDING, augment_mod.SIM_LEXICAL)),
+    "budget": (0, _at_least(0)),  # 0 = no prompt budget
+    "max_tokens": (512, _at_least(1)),
 }
 
 
-class Settings:
-    """Layered lookup: defaults < config file < flags < environment."""
-
-    def __init__(self, config_path: str | None):
-        path = config_path or os.environ.get(ENV_CONFIG_PATH) or None
-        self.config_path = Path(path) if path else None
-        self.file_values: dict[str, str] = {}
-        if self.config_path is not None:
-            for raw in self.config_path.read_text(encoding="utf-8").splitlines():
-                line = raw.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                key, _, value = line.partition("=")
-                self.file_values[key.strip()] = value.strip()
-
-    def get(self, key: str, flag_value: Any = None) -> Any:
-        default = _DEFAULTS[key]
-        value: Any = default
-        if key in self.file_values:
-            value = self.file_values[key]
-        if flag_value is not None:
-            value = flag_value
-        env_value = os.environ.get(ENV_PREFIX + key.upper())
-        if env_value is not None:
-            value = env_value
-        if isinstance(default, int):
-            return int(value)
-        if isinstance(default, float):
-            return float(value)
-        return str(value)
-
-    def snapshot(self, keys: Sequence[str], args: argparse.Namespace) -> dict:
-        return {key: self.get(key, getattr(args, key, None)) for key in keys}
-
-    def input_files(self) -> list[Path]:
-        return [self.config_path] if self.config_path else []
+def _resolve_settings(args: argparse.Namespace) -> None:
+    """Set every setting on `args`, layered defaults < config file < flags <
+    environment, parsed and range-checked; `args.config` becomes the config
+    file in use, or None."""
+    args.config = args.config or os.environ.get(ENV_CONFIG_PATH) or None
+    file_values: dict[str, str] = {}
+    if args.config:
+        for raw in Path(args.config).read_text(encoding="utf-8").splitlines():
+            line = raw.strip()
+            if not line or line.startswith("#") or "=" not in line:
+                continue
+            key, _, value = line.partition("=")
+            file_values[key.strip()] = value.strip()
+    for key, (default, parse) in _SETTINGS.items():
+        value = file_values.get(key, default)
+        if getattr(args, key, None) is not None:
+            value = getattr(args, key)
+        value = os.environ.get(ENV_PREFIX + key.upper(), value)
+        try:
+            setattr(args, key, parse(value))
+        except ValueError as exc:
+            raise SettingError(f"setting {key} = {value!r}: {exc}") from None
 
 
-def _make_backend(
-    settings: Settings, args: argparse.Namespace, *, cache_by_default: bool = False
-) -> Backend:
-    script = getattr(args, "script", None)
-    endpoint = settings.get("endpoint_url", getattr(args, "endpoint", None))
-    is_http = False
-    if script:
-        backend: Backend = ScriptedBackend.from_jsonl(script)
-    elif endpoint:
-        is_http = True
-        backend = HttpBackend(
-            endpoint_url=endpoint,
-            model_name=settings.get("model_name"),
-            api_key_env=settings.get("api_key_env") or None,
-            max_retries=settings.get("max_retries"),
-            max_in_flight=settings.get("max_in_flight"),
+@dataclass
+class Outcome:
+    """What a command reports, for `_finish` to write."""
+
+    line: dict | str  # the stdout line: a dict as JSON, text as is
+    inputs: list[str | Path] = field(default_factory=list)  # digested in the manifest
+    config: tuple[str, ...] = ()  # the settings the manifest records
+    seeds: dict[str, int] = field(default_factory=dict)
+    out_json: dict | None = None  # written to --out, when given
+    failure: str | None = None  # set when nothing in the batch succeeded
+
+
+def _finish(args: argparse.Namespace, outcome: Outcome, command_line: str) -> int:
+    """Write the `--out` JSON and the manifest when the command has `--out`,
+    print the stdout line, and fail if nothing in the batch succeeded."""
+    out = getattr(args, "out", None)
+    if out:
+        if outcome.out_json is not None:
+            write_atomic(out, json.dumps(outcome.out_json, ensure_ascii=False))
+        write_manifest(
+            out,
+            command_line=command_line,
+            config={key: getattr(args, key) for key in outcome.config},
+            seeds=outcome.seeds,
+            inputs=outcome.inputs + ([args.config] if args.config else []),
         )
+    line = outcome.line
+    print(line if isinstance(line, str) else json.dumps(line, ensure_ascii=False))
+    if outcome.failure:
+        raise AllRecordsFailedError(outcome.failure)
+    return 0
+
+
+def _none_succeeded(total: int, failures: list[str], what: str) -> str | None:
+    """The error for a non-empty batch in which every unit failed, else None."""
+    if total and len(failures) == total:
+        return f"all {total} {what}; the first: {failures[0]}"
+    return None
+
+
+def _make_backend(args: argparse.Namespace, *, cache_by_default: bool = False) -> Backend:
+    cache_dir = args.cache
+    if args.script:
+        backend: Backend = ScriptedBackend.from_jsonl(args.script)
+    elif args.endpoint_url:
+        backend = HttpBackend(
+            endpoint_url=args.endpoint_url,
+            model_name=args.model_name,
+            api_key_env=args.api_key_env or None,
+            max_retries=args.max_retries,
+            max_in_flight=args.max_in_flight,
+        )
+        if not cache_dir and cache_by_default:
+            # Dataset builds over a live endpoint are expensive; cache beside the
+            # output so interrupted runs resume for free.
+            out = Path(args.out)
+            cache_dir = str(out.with_name(out.name + ".cache"))
     else:
         raise RagselError("no backend configured: pass --script or --endpoint (or set endpoint_url)")
-    cache_dir = getattr(args, "cache", None)
-    if not cache_dir and cache_by_default and is_http:
-        # Dataset builds over a live endpoint are expensive; cache beside the
-        # output so interrupted runs resume for free.
-        out = Path(getattr(args, "out"))
-        cache_dir = str(out.with_name(out.name + ".cache"))
     if cache_dir:
         backend = CachedBackend(backend, cache_dir)
     return backend
@@ -131,7 +194,7 @@ def _make_backend(
 
 def _open_index_and_corpus(args: argparse.Namespace) -> tuple[Bm25Index, corpus_mod.Corpus]:
     index = Bm25Index.load(args.index)
-    corpus_dir = getattr(args, "corpus", None) or index.corpus_path
+    corpus_dir = args.corpus or index.corpus_path
     if not corpus_dir or not Path(corpus_dir).exists():
         raise RagselError(
             "cannot locate the corpus behind this index; pass --corpus explicitly"
@@ -139,44 +202,23 @@ def _open_index_and_corpus(args: argparse.Namespace) -> tuple[Bm25Index, corpus_
     return index, corpus_mod.Corpus(corpus_dir)
 
 
-def _emit(obj: dict) -> None:
-    print(json.dumps(obj, ensure_ascii=False))
-
-
-def cmd_corpus_ingest(args, settings: Settings, argv: list[str]) -> int:
+def cmd_corpus_ingest(args) -> Outcome:
     handle = corpus_mod.ingest(args.passages, args.out)
-    write_manifest(
-        args.out,
-        command_line=" ".join(argv),
-        config=settings.snapshot([], args),
-        seeds={},
-        inputs=[args.passages] + settings.input_files(),
-    )
-    _emit({"passages": len(handle), "total_tokens": handle.stats.total_tokens, "out": str(args.out)})
-    return 0
+    line = {"passages": len(handle), "total_tokens": handle.stats.total_tokens, "out": str(args.out)}
+    return Outcome(line, inputs=[args.passages])
 
 
-def cmd_index_build(args, settings: Settings, argv: list[str]) -> int:
+def cmd_index_build(args) -> Outcome:
     handle = corpus_mod.Corpus(args.corpus)
-    config = RetrievalConfig(k1=settings.get("k1", args.k1), b=settings.get("b", args.b))
-    index = build_index(handle, config)
+    index = build_index(handle, RetrievalConfig(k1=args.k1, b=args.b))
     index.save(args.out)
-    write_manifest(
-        args.out,
-        command_line=" ".join(argv),
-        config=settings.snapshot(["k1", "b"], args),
-        seeds={},
-        inputs=handle.input_files() + settings.input_files(),
-    )
-    _emit({"passages": index.N, "terms": len(index.postings.terms), "out": str(args.out)})
-    return 0
+    line = {"passages": index.N, "terms": len(index.postings.terms), "out": str(args.out)}
+    return Outcome(line, inputs=handle.input_files(), config=("k1", "b"))
 
 
-def cmd_retrieve(args, settings: Settings, argv: list[str]) -> int:
+def cmd_retrieve(args) -> Outcome:
     index = Bm25Index.load(args.index)
-    result = index.retrieve(args.query, settings.get("top_k", args.top_k))
-    print(result.to_json())
-    return 0
+    return Outcome(index.retrieve(args.query, args.top_k).to_json())
 
 
 _MODE_BY_FLAG = {
@@ -186,20 +228,18 @@ _MODE_BY_FLAG = {
 }
 
 
-def cmd_run(args, settings: Settings, argv: list[str]) -> int:
+def cmd_run(args) -> Outcome:
     qa = load_qa_file(args.qa)
-    backend = _make_backend(settings, args)
-    shots = settings.get("shots", args.shots)
-    prompts = pipeline.PromptSet.default(shots=shots, fewshot_path=args.fewshot)
+    backend = _make_backend(args)
+    prompts = pipeline.PromptSet.default(shots=args.shots, fewshot_path=args.fewshot)
     mode = _MODE_BY_FLAG[args.mode]
     index = corpus = None
-    inputs: list[Path] = [Path(args.qa)]
+    inputs: list[str | Path] = [args.qa]
     if mode != pipeline.MODE_LLM_ONLY:
         if not args.index:
             raise RagselError(f"mode {args.mode} requires --index")
         index, corpus = _open_index_and_corpus(args)
         inputs += index_files(args.index) + corpus.input_files()
-    budget = settings.get("budget", args.budget) or None
     records = pipeline.run_dataset(
         mode,
         qa,
@@ -207,168 +247,104 @@ def cmd_run(args, settings: Settings, argv: list[str]) -> int:
         prompts,
         index=index,
         corpus=corpus,
-        top_k=settings.get("top_k", args.top_k),
-        order_seed=settings.get("seed", args.seed),
-        budget=budget,
-        max_tokens=settings.get("max_tokens"),
+        top_k=args.top_k,
+        order_seed=args.seed,
+        budget=args.budget or None,
+        max_tokens=args.max_tokens,
     )
     pipeline.save_records(records, args.out)
-    if args.script:
-        inputs.append(Path(args.script))
-    if args.fewshot:
-        inputs.append(Path(args.fewshot))
-    write_manifest(
-        args.out,
-        command_line=" ".join(argv),
-        config=settings.snapshot(["top_k", "shots", "budget", "max_tokens"], args),
-        seeds={"order_seed": settings.get("seed", args.seed)},
-        inputs=inputs + settings.input_files(),
+    inputs += [path for path in (args.script, args.fewshot) if path]
+    errors = [r.error for r in records if r.error is not None]
+    return Outcome(
+        {"records": len(records), "out": str(args.out), "audit": pipeline.audit_selection(records)},
+        inputs=inputs,
+        config=("top_k", "shots", "budget", "max_tokens"),
+        seeds={"order_seed": args.seed},
+        failure=_none_succeeded(len(records), errors, "records carry an error"),
     )
-    audit = pipeline.audit_selection(records)
-    _emit({"records": len(records), "out": str(args.out), "audit": audit})
-    if records and audit["errors"] == len(records):
-        raise AllRecordsFailedError(
-            f"all {len(records)} records carry an error; the first: {records[0].error}"
-        )
-    return 0
 
 
-def cmd_rgp_build(args, settings: Settings, argv: list[str]) -> int:
+def cmd_rgp_build(args) -> Outcome:
     qa = load_qa_file(args.qa)
-    backend = _make_backend(settings, args, cache_by_default=True)
+    backend = _make_backend(args, cache_by_default=True)
     index, corpus = _open_index_and_corpus(args)
-    judge_mode = settings.get("judge", args.judge)
-    judge_backend = backend if judge_mode == rgp_mod.JUDGE_LLM else None
-    prompts = pipeline.PromptSet.default(shots=0)
-    seed = settings.get("seed", args.seed)
     instances, report = rgp_mod.build(
         qa,
         index,
         corpus,
         backend,
-        prompts,
-        judge_mode=judge_mode,
-        judge_backend=judge_backend,
-        seed=seed,
-        max_tokens=settings.get("max_tokens"),
+        pipeline.PromptSet.default(shots=0),
+        judge_mode=args.judge,
+        judge_backend=backend if args.judge == rgp_mod.JUDGE_LLM else None,
+        seed=args.seed,
+        max_tokens=args.max_tokens,
     )
     rgp_mod.save_instances(instances, args.out)
-    inputs = [Path(args.qa)] + index_files(args.index) + corpus.input_files()
-    if args.script:
-        inputs.append(Path(args.script))
-    write_manifest(
-        args.out,
-        command_line=" ".join(argv),
-        config=settings.snapshot(["judge", "max_tokens"], args),
-        seeds={"seed": seed},
-        inputs=inputs + settings.input_files(),
+    inputs = [args.qa] + index_files(args.index) + corpus.input_files()
+    return Outcome(
+        {"instances": len(instances), "out": str(args.out), "report": report.to_dict()},
+        inputs=inputs + ([args.script] if args.script else []),
+        config=("judge", "max_tokens"),
+        seeds={"seed": args.seed},
+        failure=_none_succeeded(report.total, report.quarantine_reasons, "items were quarantined"),
     )
-    _emit({"instances": len(instances), "out": str(args.out), "report": report.to_dict()})
-    return 0
 
 
-def cmd_rgp_augment(args, settings: Settings, argv: list[str]) -> int:
+def cmd_rgp_augment(args) -> Outcome:
     dataset = rgp_mod.load_instances(args.in_path)
-    sim_mode = settings.get("similarity", args.similarity)
     client = None
-    if sim_mode == augment_mod.SIM_EMBEDDING:
-        endpoint = settings.get("endpoint_url", getattr(args, "endpoint", None))
-        if not endpoint:
+    if args.similarity == augment_mod.SIM_EMBEDDING:
+        if not args.endpoint_url:
             raise RagselError("embedding similarity requires --endpoint (or endpoint_url)")
         client = EmbeddingClient(
-            endpoint, model_tag=settings.get("model_name"),
-            api_key_env=settings.get("api_key_env") or None,
+            args.endpoint_url, model_tag=args.model_name, api_key_env=args.api_key_env or None
         )
-    seed = settings.get("seed", args.seed)
-    k = settings.get("k", args.k)
-    pairs, report = augment_mod.augment_dataset(dataset, k, seed, mode=sim_mode, client=client)
-    summary = dpo_mod.export_training_file(pairs, args.out)
-    write_manifest(
-        args.out,
-        command_line=" ".join(argv),
-        config=settings.snapshot(["k", "similarity"], args),
-        seeds={"order_seed": seed},
-        inputs=[Path(args.in_path)] + settings.input_files(),
+    pairs, report = augment_mod.augment_dataset(
+        dataset, args.k, args.seed, mode=args.similarity, client=client
     )
-    _emit({"pairs": summary.total, "out": str(args.out), "report": report.to_dict()})
-    return 0
+    summary = dpo_mod.export_training_file(pairs, args.out)
+    return Outcome(
+        {"pairs": summary.total, "out": str(args.out), "report": report.to_dict()},
+        inputs=[args.in_path],
+        config=("k", "similarity"),
+        seeds={"order_seed": args.seed},
+    )
 
 
-def cmd_dpo_export(args, settings: Settings, argv: list[str]) -> int:
+def cmd_dpo_export(args) -> Outcome:
     pairs = dpo_mod.load_pairs(args.in_path)
     summary = dpo_mod.export_training_file(pairs, args.out)
-    write_manifest(
-        args.out,
-        command_line=" ".join(argv),
-        config={},
-        seeds={},
-        inputs=[Path(args.in_path)] + settings.input_files(),
-    )
-    _emit(summary.to_dict())
-    return 0
+    return Outcome(summary.to_dict(), inputs=[args.in_path])
 
 
-def cmd_dpo_loss(args, settings: Settings, argv: list[str]) -> int:
+def cmd_dpo_loss(args) -> Outcome:
     records = dpo_mod.load_logprob_file(args.in_path)
-    config = dpo_mod.DpoConfig(beta=settings.get("beta", args.beta))
-    mean, per_pair = dpo_mod.dataset_loss(records, config)
-    payload = {"mean_loss": mean, "n": len(per_pair), "beta": config.beta}
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps({**payload, "per_pair": per_pair}, ensure_ascii=False), encoding="utf-8"
-        )
-        write_manifest(
-            args.out,
-            command_line=" ".join(argv),
-            config={"beta": config.beta},
-            seeds={},
-            inputs=[Path(args.in_path)] + settings.input_files(),
-        )
-    _emit(payload)
-    return 0
+    mean, per_pair = dpo_mod.dataset_loss(records, dpo_mod.DpoConfig(beta=args.beta))
+    payload = {"mean_loss": mean, "n": len(per_pair), "beta": args.beta}
+    return Outcome(
+        payload, inputs=[args.in_path], config=("beta",), out_json={**payload, "per_pair": per_pair}
+    )
 
 
-def cmd_eval(args, settings: Settings, argv: list[str]) -> int:
+def cmd_eval(args) -> Outcome:
     records = pipeline.load_records(args.pred)
-    qa = load_qa_file(args.qa)
-    report = evaluation.evaluate(records, qa)
-    if args.out:
-        Path(args.out).write_text(json.dumps(report.to_dict(), ensure_ascii=False), encoding="utf-8")
-        write_manifest(
-            args.out,
-            command_line=" ".join(argv),
-            config={},
-            seeds={},
-            inputs=[Path(args.pred), Path(args.qa)] + settings.input_files(),
-        )
-    print(report.render())
-    return 0
+    report = evaluation.evaluate(records, load_qa_file(args.qa))
+    return Outcome(report.render(), inputs=[args.pred, args.qa], out_json=report.to_dict())
 
 
-def cmd_errors_classify(args, settings: Settings, argv: list[str]) -> int:
+def cmd_errors_classify(args) -> Outcome:
     records = pipeline.load_records(args.pred)
-    qa = load_qa_file(args.qa)
-    labels, shares = evaluation.classify_errors(records, qa)
+    labels, shares = evaluation.classify_errors(records, load_qa_file(args.qa))
     payload = {
         "n_errors": len(labels),
         "labels": [{"item_id": l.item_id, "category": l.category, "basis": l.basis} for l in labels],
         "shares": shares,
     }
-    if args.out:
-        Path(args.out).write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
-        write_manifest(
-            args.out,
-            command_line=" ".join(argv),
-            config={},
-            seeds={},
-            inputs=[Path(args.pred), Path(args.qa)] + settings.input_files(),
-        )
-    _emit(payload)
-    return 0
+    return Outcome(payload, inputs=[args.pred, args.qa], out_json=payload)
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--endpoint", help="chat-completions endpoint URL")
+    parser.add_argument("--endpoint", dest="endpoint_url", help="chat-completions endpoint URL")
     parser.add_argument("--script", help="JSONL script file for the offline backend")
     parser.add_argument("--cache", help="directory for the response replay cache")
 
@@ -432,7 +408,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--similarity", choices=(augment_mod.SIM_EMBEDDING, augment_mod.SIM_LEXICAL)
     )
     p_rgp_aug.add_argument("--seed", type=int)
-    p_rgp_aug.add_argument("--endpoint", help="embedding endpoint (similarity=embedding)")
+    p_rgp_aug.add_argument(
+        "--endpoint", dest="endpoint_url", help="embedding endpoint (similarity=embedding)"
+    )
     p_rgp_aug.add_argument("--out", required=True)
     p_rgp_aug.set_defaults(handler=cmd_rgp_augment)
 
@@ -465,19 +443,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(exc: Exception, code: int, error: str | None = None) -> int:
+    print(json.dumps({"error": error or type(exc).__name__, "message": str(exc)}), file=sys.stderr)
+    return code
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        settings = Settings(args.config)
-        return args.handler(args, settings, ["ragsel"] + argv)
+        _resolve_settings(args)
+        return _finish(args, args.handler(args), " ".join(["ragsel"] + argv))
+    except SettingError as exc:
+        return _fail(exc, 2)
     except RagselError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 1
+        return _fail(exc, 1)
     except OSError as exc:
-        print(json.dumps({"error": "OSError", "message": str(exc)}), file=sys.stderr)
-        return 1
+        return _fail(exc, 1, "OSError")
 
 
 if __name__ == "__main__":  # pragma: no cover

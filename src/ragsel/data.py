@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import secrets
 import types
 from dataclasses import dataclass, fields
 from functools import cache
@@ -192,6 +194,21 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
             fh.write(json.dumps(row, ensure_ascii=False) + "\n")
             n += 1
     return n
+
+
+def write_atomic(path: str | Path, text: str) -> None:
+    """Write text to a temporary sibling, then rename it over `path`, so a
+    crash mid-write leaves no file at `path` rather than part of the text.
+    The file gets the same permissions a plain write would give it."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    try:
+        with open(tmp, "x", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_records(path: str | Path, parse: Callable[[dict], T]) -> list[T]:

@@ -28,7 +28,6 @@ import json
 import math
 import os
 import re
-import tempfile
 import threading
 import time
 import urllib.error
@@ -39,7 +38,7 @@ from email.message import Message
 from pathlib import Path
 from typing import Iterable, Protocol
 
-from .data import read_records
+from .data import read_records, write_atomic
 from .errors import RagselError
 
 
@@ -290,6 +289,8 @@ class HttpBackend:
         timeout: float = 60.0,
         max_in_flight: int = 4,
     ):
+        if max_in_flight < 1:
+            raise ValueError("max_in_flight must be >= 1")
         self.endpoint_url = endpoint_url
         self.model_name = model_name
         self.api_key_env = api_key_env
@@ -350,21 +351,8 @@ class CachedBackend:
         if path.exists():
             return path.read_text(encoding="utf-8")
         text = self.inner.complete(request)
-        _write_atomic(path, text)
+        write_atomic(path, text)
         return text
-
-
-def _write_atomic(path: Path, text: str) -> None:
-    """Write text to a temporary sibling, then rename it over `path`, so a
-    crash mid-write leaves no file at `path` rather than part of the text."""
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with open(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
 
 
 def generate(backend: Backend, request: GenRequest) -> GenResponse:

@@ -12,7 +12,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .data import Record, sha256_file
+from .data import Record, sha256_file, write_atomic
 
 ARTIFACT_VERSION = "0.1.0"
 MANIFEST_NAME = "manifest.json"
@@ -66,5 +66,5 @@ def write_manifest(
         created_at=datetime.now(timezone.utc).isoformat(),
     )
     path = manifest_path_for(out_target)
-    path.write_text(json.dumps(manifest.to_dict(), indent=2, ensure_ascii=False), encoding="utf-8")
+    write_atomic(path, json.dumps(manifest.to_dict(), indent=2, ensure_ascii=False))
     return path

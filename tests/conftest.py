@@ -4,6 +4,7 @@ small corpus builders."""
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -11,6 +12,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 from ragsel import corpus as corpus_mod
+from ragsel import data
 
 
 class StubServer:
@@ -132,3 +134,34 @@ def tiny_corpus(tmp_path):
 
 def make_corpus(tmp_path, records, name="corpus"):
     return corpus_mod.ingest(records, tmp_path / name)
+
+
+class _DiskFullMidWrite:
+    """A file whose first write stores half its text, then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        self.fh.flush()
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.fixture
+def disk_full_on_write(monkeypatch):
+    """Every file `ragsel.data` opens for writing fails partway through its
+    first write; files opened for reading are untouched."""
+    real_open = open
+
+    def disk_full_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return fh if "r" in mode else _DiskFullMidWrite(fh)
+
+    monkeypatch.setattr(data, "open", disk_full_open, raising=False)

@@ -1,9 +1,17 @@
+import contextlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ragsel.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _write_jsonl(path, rows):
@@ -554,3 +562,221 @@ class TestConfigLayering:
         main(["retrieve", "--index", str(index_dir), "--query", "gadget article says", "--top-k", "2"])
         hits = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert len(hits["hits"]) == 3  # environment beats the flag
+
+
+# Each command that writes a manifest, run once in this order over the desk
+# inputs with a config file: (name, argv with {t} for the directory, output).
+_PIN_CHAIN = [
+    ("corpus ingest", "corpus ingest --passages {t}/passages.jsonl --out {t}/corpus", "corpus"),
+    ("index build", "index build --corpus {t}/corpus --out {t}/index --k1 1.5", "index"),
+    (
+        "run",
+        "run --mode self-select --qa {t}/qa.jsonl --index {t}/index --script {t}/script.jsonl"
+        " --seed 7 --budget 0 --out {t}/r.jsonl",
+        "r.jsonl",
+    ),
+    (
+        "rgp build",
+        "rgp build --qa {t}/qa.jsonl --index {t}/index --script {t}/script.jsonl --seed 3"
+        " --out {t}/inst.jsonl",
+        "inst.jsonl",
+    ),
+    ("rgp augment", "rgp augment --in {t}/inst.jsonl --k 1 --seed 5 --out {t}/pairs.jsonl", "pairs.jsonl"),
+    ("dpo export", "dpo export --in {t}/pairs.jsonl --out {t}/train.jsonl", "train.jsonl"),
+    ("dpo loss", "dpo loss --in {t}/lp.jsonl --out {t}/loss.json", "loss.json"),
+    ("eval", "eval --pred {t}/r.jsonl --qa {t}/qa.jsonl --out {t}/report.json", "report.json"),
+    ("errors classify", "errors classify --pred {t}/r.jsonl --qa {t}/qa.jsonl --out {t}/errs.json", "errs.json"),
+]
+_INDEX_FILES = ["doc_len.npy", "index.json", "rows.npy", "term_ptr.npy", "tfs.npy"]
+_CORPUS_FILES = ["offsets.json", "passages.jsonl", "stats.json"]
+# name -> (stdout JSON keys, or eval's rendered line; manifest config; seeds;
+# basenames of the digested inputs)
+_PINS = {
+    "corpus ingest": (["out", "passages", "total_tokens"], {}, {}, ["passages.jsonl", "ragsel.conf"]),
+    "index build": (["out", "passages", "terms"], {"k1": 1.5, "b": 0.75}, {}, sorted(_CORPUS_FILES + ["ragsel.conf"])),
+    "run": (
+        ["audit", "out", "records"],
+        {"top_k": 3, "shots": 0, "budget": 0, "max_tokens": 512},
+        {"order_seed": 7},
+        sorted(_INDEX_FILES + _CORPUS_FILES + ["qa.jsonl", "ragsel.conf", "script.jsonl"]),
+    ),
+    "rgp build": (
+        ["instances", "out", "report"],
+        {"judge": "lexical", "max_tokens": 512},
+        {"seed": 3},
+        sorted(_INDEX_FILES + _CORPUS_FILES + ["qa.jsonl", "ragsel.conf", "script.jsonl"]),
+    ),
+    "rgp augment": (["out", "pairs", "report"], {"k": 1, "similarity": "lexical"}, {"order_seed": 5},
+                    ["inst.jsonl", "ragsel.conf"]),
+    "dpo export": (["by_origin", "path", "total"], {}, {}, ["pairs.jsonl", "ragsel.conf"]),
+    "dpo loss": (["beta", "mean_loss", "n"], {"beta": 0.1}, {}, ["lp.jsonl", "ragsel.conf"]),
+    "eval": ("EM 100.0 | F1 100.0 | Acc 100.0 (n=4)", {}, {}, ["qa.jsonl", "r.jsonl", "ragsel.conf"]),
+    "errors classify": (["labels", "n_errors", "shares"], {}, {}, ["qa.jsonl", "r.jsonl", "ragsel.conf"]),
+}
+
+
+@pytest.fixture(scope="module")
+def pinned_chain(tmp_path_factory):
+    """Runs `_PIN_CHAIN` once; name -> (pin as in `_PINS`, command line)."""
+    tmp = tmp_path_factory.mktemp("pins")
+    _desk_inputs(tmp)
+    _write_jsonl(tmp / "lp.jsonl", [_LOGPROB_ROW])
+    config = tmp / "ragsel.conf"
+    config.write_text("top_k = 3\n")
+    pins = {}
+    for name, argv, out_name in _PIN_CHAIN:
+        args = ["--config", str(config)] + [arg.format(t=tmp) for arg in argv.split()]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert main(args) == 0, name
+        line = stdout.getvalue().strip().splitlines()[-1]
+        shown = line if name == "eval" else sorted(json.loads(line))
+        out = tmp / out_name
+        manifest_path = out / "manifest.json" if out.is_dir() else tmp / f"{out_name}.manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        inputs = sorted(Path(p).name for p in manifest["input_digests"])
+        pins[name] = (shown, manifest["config"], manifest["seeds"], inputs), manifest["command_line"]
+    return tmp, pins
+
+
+@pytest.mark.parametrize("name", [name for name, _argv, _out in _PIN_CHAIN])
+def test_command_outputs_and_manifest_are_pinned(pinned_chain, name):
+    tmp, pins = pinned_chain
+    pin, command_line = pins[name]
+    assert pin == _PINS[name]
+    argv = dict((n, a) for n, a, _o in _PIN_CHAIN)[name]
+    assert command_line == f"ragsel --config {tmp}/ragsel.conf " + argv.format(t=tmp)
+
+
+# (argv with {t} for the directory, environment, config file text, the bad key)
+_BAD_SETTINGS = {
+    "retrieve-flag-top-k-0": ("retrieve --index {t}/index --query marker1 --top-k 0", {}, None, "top_k"),
+    "retrieve-env-top-k-abc": ("retrieve --index {t}/index --query marker1", {"TOP_K": "abc"}, None, "top_k"),
+    "retrieve-config-top-k-x": ("retrieve --index {t}/index --query marker1", {}, "top_k = x", "top_k"),
+    "dpo-loss-flag-beta-0": ("dpo loss --in {t}/lp.jsonl --beta 0 --out {o}", {}, None, "beta"),
+    "dpo-loss-env-beta-nan": ("dpo loss --in {t}/lp.jsonl --out {o}", {"BETA": "nan"}, None, "beta"),
+    "index-build-flag-k1-0": ("index build --corpus {t}/corpus --out {o} --k1 0", {}, None, "k1"),
+    "index-build-env-k1-inf": ("index build --corpus {t}/corpus --out {o}", {"K1": "inf"}, None, "k1"),
+    "index-build-config-b-1.5": ("index build --corpus {t}/corpus --out {o}", {}, "b = 1.5", "b"),
+    "run-standard-rag-flag-top-k-0": (
+        "run --mode standard-rag --qa {t}/qa.jsonl --index {t}/index --script {t}/script.jsonl"
+        " --top-k 0 --out {o}",
+        {}, None, "top_k",
+    ),
+    "run-env-max-tokens-0": (
+        "run --mode llm-only --qa {t}/qa.jsonl --script {t}/script.jsonl --out {o}",
+        {"MAX_TOKENS": "0"}, None, "max_tokens",
+    ),
+    "run-env-shots-2": (
+        "run --mode llm-only --qa {t}/qa.jsonl --script {t}/script.jsonl --out {o}",
+        {"SHOTS": "2"}, None, "shots",
+    ),
+    "run-flag-budget-negative": (
+        "run --mode llm-only --qa {t}/qa.jsonl --script {t}/script.jsonl --budget -1 --out {o}",
+        {}, None, "budget",
+    ),
+    "run-config-max-retries-negative": (
+        "run --mode llm-only --qa {t}/qa.jsonl --script {t}/script.jsonl --out {o}",
+        {}, "max_retries = -1", "max_retries",
+    ),
+    "rgp-build-env-judge": (
+        "rgp build --qa {t}/qa.jsonl --index {t}/index --script {t}/script.jsonl --out {o}",
+        {"JUDGE": "oracle"}, None, "judge",
+    ),
+    "rgp-augment-config-similarity": (
+        "rgp augment --in {t}/lp.jsonl --out {o}", {}, "similarity = dense", "similarity",
+    ),
+    "rgp-augment-flag-k-negative": ("rgp augment --in {t}/lp.jsonl --k -1 --out {o}", {}, None, "k"),
+    # Every key is checked for every command, also one the command never reads.
+    "dpo-export-env-seed-abc": ("dpo export --in {t}/lp.jsonl --out {o}", {"SEED": "abc"}, None, "seed"),
+    "eval-config-k1-abc": (
+        "eval --pred {t}/qa.jsonl --qa {t}/qa.jsonl --out {o}", {}, "k1 = abc", "k1",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def desk_index(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("desk")
+    passages_path, _qa, _script = _desk_inputs(tmp)
+    _write_jsonl(tmp / "lp.jsonl", [_LOGPROB_ROW])
+    assert main(["corpus", "ingest", "--passages", str(passages_path), "--out", str(tmp / "corpus")]) == 0
+    assert main(["index", "build", "--corpus", str(tmp / "corpus"), "--out", str(tmp / "index")]) == 0
+    return tmp
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_SETTINGS))
+def test_bad_setting_exits_two_with_json_error(desk_index, tmp_path, capsys, monkeypatch, case):
+    argv, env, config_text, key = _BAD_SETTINGS[case]
+    for name, value in env.items():
+        monkeypatch.setenv("SELECTOR_RAG_" + name, value)
+    out = tmp_path / "out.json"
+    args = [arg.format(t=desk_index, o=out) for arg in argv.split()]
+    if config_text is not None:
+        config = tmp_path / "ragsel.conf"
+        config.write_text(config_text + "\n")
+        args = ["--config", str(config)] + args
+    capsys.readouterr()
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    last = json.loads(captured.err.strip().splitlines()[-1])
+    assert last["error"] == "SettingError"
+    assert last["message"].startswith(f"setting {key} = ")
+    assert not out.exists()
+
+
+def test_zero_max_in_flight_exits_two_at_once(tmp_path, http_stub):
+    """Through the entry point: a zero request cap once hung the first request."""
+    _passages, qa_path, _script = _desk_inputs(tmp_path)
+    out = tmp_path / "r.jsonl"
+    env = dict(os.environ, SELECTOR_RAG_MAX_IN_FLIGHT="0")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    argv = ["run", "--mode", "llm-only", "--qa", str(qa_path), "--endpoint", http_stub.url, "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "ragsel.cli", *argv], env=env, capture_output=True, text=True, timeout=5
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    last = json.loads(proc.stderr.strip().splitlines()[-1])
+    assert last["error"] == "SettingError"
+    assert last["message"].startswith("setting max_in_flight = '0': ")
+    assert http_stub.hits == 0
+    assert not out.exists()
+
+
+def test_rgp_build_where_every_item_is_quarantined_exits_one(tmp_path, http_stub, capsys, monkeypatch):
+    passages_path, qa_path, _script = _desk_inputs(tmp_path)
+    corpus_dir, index_dir = tmp_path / "corpus", tmp_path / "index"
+    assert main(["corpus", "ingest", "--passages", str(passages_path), "--out", str(corpus_dir)]) == 0
+    assert main(["index", "build", "--corpus", str(corpus_dir), "--out", str(index_dir)]) == 0
+    capsys.readouterr()
+    monkeypatch.setenv("SELECTOR_RAG_MAX_RETRIES", "0")
+    http_stub.enqueue_raw(b"")  # every connection closes without a reply
+    out = tmp_path / "instances.jsonl"
+    argv = ["rgp", "build", "--qa", str(qa_path), "--index", str(index_dir),
+            "--endpoint", http_stub.url, "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "AllRecordsFailedError"
+    assert err["message"].startswith(
+        "all 4 items were quarantined; the first: q1: TransportError: transport failure after 1 attempt(s)"
+    )
+    report = json.loads(captured.out.strip().splitlines()[-1])["report"]
+    assert (report["total"], report["quarantined"]) == (4, 4)
+    assert out.read_text() == ""
+    assert (tmp_path / "instances.jsonl.manifest.json").exists()
+
+
+def test_out_write_failing_partway_leaves_no_file(tmp_path, capsys, disk_full_on_write):
+    qa = tmp_path / "qa.jsonl"
+    results = tmp_path / "results.jsonl"
+    _write_jsonl(qa, [_QA_ROW])
+    _write_jsonl(results, [_RESULT_ROW])
+    out = tmp_path / "report.json"
+    assert main(["eval", "--pred", str(results), "--qa", str(qa), "--out", str(out)]) == 1
+    err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert err["error"] == "OSError" and "No space left" in err["message"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["qa.jsonl", "results.jsonl"]

@@ -1,4 +1,3 @@
-import errno
 import json
 
 import pytest
@@ -123,6 +122,12 @@ class TestHttpBackend:
         kw.setdefault("backoff_base", 0.0)
         return HttpBackend(endpoint_url=url, model_name="test-model", **kw)
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_rejects_an_in_flight_cap_below_one(self, cap):
+        # A zero-slot semaphore would block the first request forever.
+        with pytest.raises(ValueError, match="max_in_flight must be >= 1"):
+            self._backend("http://127.0.0.1:1/v1", max_in_flight=cap)
+
     def test_returns_stub_body(self, http_stub):
         http_stub.enqueue(200, chat_body("hello from the stub"))
         backend = self._backend(http_stub.url)
@@ -207,32 +212,10 @@ class TestCachedBackend:
         assert backend.complete(GenRequest(user_prompt="q one")) == "r"
         assert backend.complete(GenRequest(user_prompt="q one")) == "r"
 
-    def test_write_failing_partway_leaves_no_entry(self, tmp_path, monkeypatch):
+    def test_write_failing_partway_leaves_no_entry(self, tmp_path, monkeypatch, disk_full_on_write):
         cache = tmp_path / "cache"
         backend = CachedBackend(ScriptedBackend({"q": "a long reply " * 100}), cache)
         request = GenRequest(user_prompt="q one")
-
-        class DiskFullMidWrite:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, text):
-                self.fh.write(text[: len(text) // 2])
-                self.fh.flush()
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-        real_open = open
-
-        def disk_full_open(*args, **kwargs):
-            return DiskFullMidWrite(real_open(*args, **kwargs))
-
-        monkeypatch.setattr(llm, "open", disk_full_open, raising=False)
         with pytest.raises(OSError, match="No space left"):
             backend.complete(request)
         assert list(cache.iterdir()) == []
