@@ -114,7 +114,8 @@ class Corpus:
         # pread keeps no file position, so threads may share the descriptor.
         start, end = self._bounds[i], self._bounds[i + 1]
         record = json.loads(os.pread(self._fd, end - start, start))
-        return Passage(id=record["id"], title=record.get("title", ""), text=record["text"])
+        # The caller's id (the index's own string), not a decoded copy.
+        return Passage(id=passage_id, title=record.get("title", ""), text=record["text"])
 
     def __iter__(self) -> Iterator[Passage]:
         for _line_no, record in read_jsonl(self.root / PASSAGES_FILE):

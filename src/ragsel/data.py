@@ -65,6 +65,8 @@ class Record:
     constructor by position, so every field must be an `__init__` parameter.
     """
 
+    __slots__ = ()  # so a `@dataclass(slots=True)` subclass has no instance dict
+
     def to_dict(self) -> dict:
         return {
             name: getattr(self, name) if encode is None else encode(getattr(self, name))

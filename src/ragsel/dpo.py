@@ -37,8 +37,8 @@ class DpoConfig:
     beta: float = 0.1
 
     def __post_init__(self):
-        if not (self.beta > 0):
-            raise ValueError("beta must be > 0")
+        if not (math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be finite and > 0, got {self.beta!r}")
 
 
 _LOGPROB_FIELDS = ("logp_policy_chosen", "logp_ref_chosen", "logp_policy_rejected", "logp_ref_rejected")

@@ -275,8 +275,8 @@ class HttpBackend:
     Transient failures are retried up to `max_retries` extra attempts.
     Concurrent callers share a semaphore capping in-flight requests at
     `max_in_flight`; each call returns its own response, never another
-    caller's. The candidate stage reads `max_in_flight` to decide whether
-    an item's two candidate requests may go out together.
+    caller's. `run_dataset` and `rgp.build` read `max_in_flight` to decide
+    how many items to run at once.
     """
 
     def __init__(

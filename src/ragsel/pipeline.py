@@ -14,15 +14,15 @@ and is parsed by splitting on the LAST "Answer:" marker, case-insensitively.
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 import re
 import string
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .corpus import Passage
 from .data import QAPair, Record, decode_failure, read_records, stable_hash_int, write_jsonl
@@ -99,7 +99,7 @@ def render_passages(passages: Sequence[Passage]) -> str:
     return "\n".join(lines)
 
 
-@dataclass
+@dataclass(slots=True)
 class CandidateResponse(Record):
     answer: str
     explanation: str
@@ -229,7 +229,7 @@ class PromptSet:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectionRecord(Record):
     id: str
     query: str
@@ -322,49 +322,35 @@ def gen_both_answers(
     max_tokens: int = 512,
 ) -> tuple[CandidateResponse, tuple[CandidateResponse, list[str]] | None]:
     """The memory-only candidate and gen_retrieved_answer's result for one
-    question: the candidate stage of both `ragsel run` and `rgp build`.
-
-    When the backend takes two or more requests at once (llm.in_flight_cap),
-    the memory-only request goes out on the helper thread while this thread
-    retrieves, fetches the passages and sends the grounded request. Otherwise
-    the two run one after the other, the memory-only one first when
-    memory_first. Either way the error raised is the one the serial order
-    meets first; overlapped, the other request may have gone out too.
-    """
-
-    def memory() -> CandidateResponse:
-        return gen_llm_answer(backend, prompts, question, max_tokens=max_tokens)
-
-    def retrieved() -> tuple[CandidateResponse, list[str]] | None:
-        return gen_retrieved_answer(
-            backend, prompts, question, index, corpus, top_k, budget=budget, max_tokens=max_tokens
-        )
-
-    if in_flight_cap(backend) < 2:
-        if memory_first:
-            internal = memory()
-            return internal, retrieved()
-        grounded = retrieved()
-        return memory(), grounded
-    pending = _helper().submit(memory)
-    try:
-        grounded = retrieved()
-    except Exception:
-        # Wait for the memory-only request either way, so items stay one at a time.
-        memory_error = pending.exception()
-        if memory_first and memory_error is not None:
-            raise memory_error
-        raise
-    return pending.result(), grounded
+    question: the candidate stage of both `ragsel run` and `rgp build`. The
+    two requests go out in turn, the memory-only one first when memory_first,
+    and the first to fail raises."""
+    if memory_first:
+        internal = gen_llm_answer(backend, prompts, question, max_tokens=max_tokens)
+    grounded = gen_retrieved_answer(
+        backend, prompts, question, index, corpus, top_k, budget=budget, max_tokens=max_tokens
+    )
+    if not memory_first:
+        internal = gen_llm_answer(backend, prompts, question, max_tokens=max_tokens)
+    return internal, grounded
 
 
-@functools.cache
-def _helper() -> ThreadPoolExecutor:
-    """One thread, started on first use and kept for the process, that sends
-    memory-only requests for gen_both_answers; concurrent callers queue on
-    it. A new thread for each item made a warm-cache replay about a third
-    slower on a 2-core host."""
-    return ThreadPoolExecutor(1, thread_name_prefix="ragsel-memory")
+def _map_items(fn: Callable, items: Iterable, backend: Backend) -> Iterator:
+    """Yield fn(item) for each item, in input order: a plain loop, or a pool
+    made for this call that runs as many items at once as the backend takes
+    requests (llm.in_flight_cap) and submits at most 2 * cap items ahead
+    (Executor.map would hold a future, about 1.8 KB, for every item at once)."""
+    cap = in_flight_cap(backend)
+    if cap < 2:
+        yield from map(fn, items)
+        return
+    with ThreadPoolExecutor(cap, thread_name_prefix="ragsel-item") as pool:
+        window: deque[Future] = deque()
+        for item in items:
+            window.append(pool.submit(fn, item))
+            if len(window) == 2 * cap:
+                yield window.popleft().result()
+        yield from (future.result() for future in window)
 
 
 def _match_choice(
@@ -461,11 +447,12 @@ def run_dataset(
 ) -> list[SelectionRecord]:
     """One SelectionRecord per QA pair, in input order, whatever happens.
 
-    Items run one at a time. llm_only records carry no grounded candidate;
-    standard_rag records carry no internal candidate and the final answer is
-    the grounded one, from gen_retrieved_answer. self_select takes both
-    candidates from gen_both_answers, as rgp.generate_candidates does, and
-    then asks the model to pick. When retrieval finds nothing, the grounded
+    Items run through _map_items, as many at once as the backend takes
+    requests (llm.in_flight_cap). llm_only records carry no grounded
+    candidate; standard_rag records carry no internal candidate and the final
+    answer is the grounded one, from gen_retrieved_answer. self_select takes
+    both candidates from gen_both_answers, as rgp.generate_candidates does,
+    and then asks the model to pick. When retrieval finds nothing, the grounded
     slot falls back to the memory-only answer (in self_select, the internal
     candidate itself, with no second call) and passages_used stays empty.
     Per-item failures land in the record's error field and never abort the
@@ -529,7 +516,7 @@ def run_dataset(
                 error=f"{type(exc).__name__}: {exc}",
             )
 
-    return [one(qa) for qa in qa_pairs]
+    return list(_map_items(one, qa_pairs, backend))
 
 
 def audit_selection(records: Sequence[SelectionRecord]) -> dict:

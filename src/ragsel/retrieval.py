@@ -83,8 +83,8 @@ class RetrievalConfig:
     b: float = 0.75
 
     def __post_init__(self):
-        if self.k1 <= 0:
-            raise ValueError("k1 must be > 0")
+        if not (math.isfinite(self.k1) and self.k1 > 0):
+            raise ValueError(f"k1 must be finite and > 0, got {self.k1!r}")
         if not 0.0 <= self.b <= 1.0:
             raise ValueError("b must be in [0, 1]")
 

@@ -27,6 +27,7 @@ from .pipeline import (
     PromptSet,
     SOURCE_INTERNAL,
     SOURCE_RETRIEVAL,
+    _map_items,
     gen_both_answers,
     load_template,
 )
@@ -120,10 +121,9 @@ def generate_candidates(
 ) -> CandidateBundle:
     """Produce both candidates for one query.
 
-    Both come from pipeline.gen_both_answers, shared with run_dataset, which
-    sends the two requests together when the backend takes two at once;
-    serially, the memory-only one goes first, and its error wins when both
-    fail. rng_seed alone fixes how many passages the grounded candidate sees
+    Both come from pipeline.gen_both_answers, shared with run_dataset: the
+    memory-only request goes first, and its error wins when both fail.
+    rng_seed alone fixes how many passages the grounded candidate sees
     (uniform on 1..5, capped by what retrieval returns). No passages, or a
     generation failure, is recorded on the bundle as its error, which build
     quarantines.
@@ -230,7 +230,8 @@ def build(
     seed: int = 0,
     max_tokens: int = 512,
 ) -> tuple[list[PreferenceInstance], BuildReport]:
-    """Map generate -> judge -> filter over the QA set.
+    """Map generate (through pipeline._map_items) -> judge -> filter over the
+    QA set, judging each bundle in input order as it arrives.
 
     Per-item failures (generation errors, unparseable judge verdicts) are
     quarantined with reasons; the batch always completes. The report carries
@@ -238,11 +239,14 @@ def build(
     """
     report = BuildReport(total=len(qa_set), judge_tag=judge_mode)
     instances: list[PreferenceInstance] = []
-    for qa in qa_set:
-        bundle = generate_candidates(
+
+    def candidates(qa: QAPair) -> CandidateBundle:
+        return generate_candidates(
             qa, index, corpus, backend, prompts, rng_seed=stable_hash_int(seed, qa.id),
             max_tokens=max_tokens,
         )
+
+    for qa, bundle in zip(qa_set, _map_items(candidates, qa_set, backend)):
         if not bundle.usable:
             report.quarantined += 1
             report.quarantine_reasons.append(f"{qa.id}: {bundle.error}")

@@ -8,6 +8,7 @@ import errno
 import json
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from typing import Callable
 
 import pytest
 
@@ -25,7 +26,8 @@ class StubServer:
     anything else as JSON. A raw reply (`enqueue_raw`) is written to the
     socket verbatim, after an optional delay, and the connection is closed.
     Each reply of a handler (`set_handler`) waits its delay, outside the lock
-    that serialises the handler's calls.
+    that serialises the handler's calls; a callable delay is asked for each
+    request's payload.
     """
 
     def __init__(self):
@@ -57,6 +59,8 @@ class StubServer:
                     if stub._dynamic is not None:
                         status, body = stub._dynamic(self.path, payload)
                         delay = stub._dynamic_delay
+                        if callable(delay):
+                            delay = delay(payload)
                     elif stub._queue:
                         status, body, delay = stub._queue.pop(0) if len(stub._queue) > 1 else stub._queue[0]
                     else:
@@ -100,7 +104,7 @@ class StubServer:
     def enqueue_raw(self, reply: bytes, delay: float = 0.0) -> None:
         self._queue.append((None, reply, delay))
 
-    def set_handler(self, fn, delay: float = 0.0) -> None:
+    def set_handler(self, fn, delay: float | Callable[[dict], float] = 0.0) -> None:
         self._dynamic = fn
         self._dynamic_delay = delay
 

@@ -3,12 +3,13 @@
 Byte pins on the acceptance desk scenario hold every output of both callers
 to the SHA-256 it had before they shared one stage; the remaining tests cover
 the stage's edges: empty retrieval, prompt budgets, per-item errors, the
-module-global lookup that `rgp.build` makes for each item, and the overlap of
-an item's two candidate requests over HTTP.
+module-global lookup that `rgp.build` makes for each item, and the pool that
+runs items side by side over HTTP.
 """
 
 import hashlib
 import json
+import threading
 
 import pytest
 
@@ -23,6 +24,7 @@ from ragsel.pipeline import (
     MODE_STANDARD_RAG,
     SOURCE_INTERNAL,
     PromptSet,
+    _map_items,
     gen_llm_answer,
     gen_retrieved_answer,
     run_dataset,
@@ -229,12 +231,12 @@ def _serve_script(http_stub, backend: ScriptedBackend, delay: float = 0.0) -> No
     http_stub.set_handler(handler, delay)
 
 
-def test_http_outputs_are_byte_identical_at_one_and_four_in_flight(tmp_path, http_stub, monkeypatch):
+def test_http_outputs_are_byte_identical_at_every_in_flight_cap(tmp_path, http_stub, monkeypatch):
     qa_path, script_path, index_dir = _desk_files(tmp_path)
     _serve_script(http_stub, ScriptedBackend.from_jsonl(script_path))
     common = ["--qa", str(qa_path), "--index", str(index_dir), "--endpoint", http_stub.url]
     hits = {}
-    for cap in (1, 4):
+    for cap in (1, 2, 8):
         monkeypatch.setenv("SELECTOR_RAG_MAX_IN_FLIGHT", str(cap))
         before = http_stub.hits
         out = tmp_path / f"self-select-{cap}.jsonl"
@@ -245,21 +247,81 @@ def test_http_outputs_are_byte_identical_at_one_and_four_in_flight(tmp_path, htt
         assert cli_main(argv) == 0
         assert _sha256(out) == PINNED_SHA256["rgp-build"]
         hits[cap] = http_stub.hits - before
-    assert hits[1] == hits[4] == 10 * 3 + 10 * 2
+    assert hits[1] == hits[2] == hits[8] == 10 * 3 + 10 * 2
 
 
-@pytest.mark.parametrize("cap, peak", [(1, 1), (4, 2)])
-def test_an_item_sends_its_two_candidate_requests_together_only_above_one_in_flight(
-    tmp_path, http_stub, cap, peak
-):
+def _pool_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("ragsel-item")]
+
+
+@pytest.mark.parametrize("cap", [1, 2, 4])
+def test_items_are_in_flight_together_only_above_one_in_flight(tmp_path, http_stub, cap):
     corpus, index = _shared_topic(tmp_path)
-    _serve_script(http_stub, ScriptedBackend(_ONE_ITEM_SCRIPT), delay=0.2)
+    _serve_script(http_stub, ScriptedBackend(_ONE_ITEM_SCRIPT), delay=0.05)
     backend = HttpBackend(http_stub.url, "m", max_in_flight=cap)
-    qa = QAPair(id="q1", question="shared topic?", golden_answers=["right"])
-    (record,) = run_dataset(MODE_SELF_SELECT, [qa], backend, PromptSet.default(), index=index, corpus=corpus)
-    assert record.error is None and record.final_answer == "right"
-    assert http_stub.hits == 3
-    assert http_stub.peak_in_flight == peak
+    qa = [QAPair(id=f"q{i}", question="shared topic?", golden_answers=["right"]) for i in range(4)]
+    records = run_dataset(MODE_SELF_SELECT, qa, backend, PromptSet.default(), index=index, corpus=corpus)
+    assert [(r.id, r.error, r.final_answer) for r in records] == [(f"q{i}", None, "right") for i in range(4)]
+    assert http_stub.hits == 12
+    # One request per item at a time, so 4 in flight needs 4 items in flight.
+    assert http_stub.peak_in_flight == cap
+    assert _pool_threads() == []  # the pool is shut down before run_dataset returns
+
+
+def test_pool_submits_at_most_twice_its_size_ahead_of_the_consumer():
+    drawn = []
+
+    def items():
+        for i in range(100):
+            drawn.append(i)
+            yield i
+
+    class TwoAtOnce:
+        max_in_flight = 2
+
+    results = _map_items(lambda i: i * i, items(), TwoAtOnce())
+    assert next(results) == 0
+    assert len(drawn) == 4
+    assert list(results) == [i * i for i in range(1, 100)]
+    assert _pool_threads() == []
+
+
+def test_pool_keeps_input_order_and_per_item_errors_when_later_items_finish_first(tmp_path, http_stub):
+    corpus, index = _shared_topic(tmp_path)
+    scripted = ScriptedBackend(_ONE_ITEM_SCRIPT)
+    words = ["zero", "one", "two", "three"]
+
+    def handler(path, payload):
+        prompt = " ".join(payload["messages"][-1]["content"].lower().split())
+        if "item one" in prompt and "using your own knowledge" in prompt:
+            return 400, {}
+        if "item two" in prompt and "two candidate responses" in prompt:
+            return 404, {}
+        return 200, chat_body(scripted.complete(GenRequest(user_prompt=prompt)))
+
+    def delay(payload):
+        # The earlier the item, the slower its replies: item zero finishes last.
+        prompt = payload["messages"][-1]["content"]
+        return next(0.1 * (3 - i) for i, w in enumerate(words) if f"item {w}" in prompt)
+
+    http_stub.set_handler(handler, delay)
+    backend = HttpBackend(http_stub.url, "m", max_retries=0, max_in_flight=4)
+    qa = [QAPair(id=f"q{i}", question=f"shared topic item {w}?", golden_answers=["right"]) for i, w in enumerate(words)]
+    records = run_dataset(MODE_SELF_SELECT, qa, backend, PromptSet.default(), index=index, corpus=corpus)
+    last_item = http_stub.requests[-1]["messages"][-1]["content"]
+    assert "item zero" in last_item  # the first item did finish last
+    assert [r.id for r in records] == ["q0", "q1", "q2", "q3"]
+    assert [r.error for r in records] == [
+        None,
+        f"StatusError: HTTP 400 from {http_stub.url}",
+        f"StatusError: HTTP 404 from {http_stub.url}",
+        None,
+    ]
+    assert records[0].final_answer == records[3].final_answer == "right"
+
+    instances, report = rgp.build(qa, index, corpus, backend, PromptSet.default(), seed=4)
+    assert [i.query_id for i in instances] == ["q0", "q2", "q3"]
+    assert report.quarantine_reasons == [f"q1: StatusError: HTTP 400 from {http_stub.url}"]
 
 
 @pytest.mark.parametrize("cap", [1, 4])

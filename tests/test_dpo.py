@@ -102,6 +102,11 @@ class TestPairLoss:
         with pytest.raises(ValueError):
             DpoConfig(beta=-1.0)
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_config_rejects_a_non_finite_beta(self, beta):
+        with pytest.raises(ValueError, match="beta must be finite"):
+            DpoConfig(beta=beta)
+
     def test_record_validation(self):
         with pytest.raises(ValueError, match="finite"):
             _record(lpc=float("nan"))

@@ -213,6 +213,12 @@ class TestBm25:
         with pytest.raises(ValueError):
             RetrievalConfig(k1=0)
 
+    @pytest.mark.parametrize("k1", [math.nan, math.inf])
+    def test_config_rejects_a_non_finite_k1(self, k1):
+        # A NaN k1 used to build an index whose every query returned no hits.
+        with pytest.raises(ValueError, match="k1 must be finite"):
+            RetrievalConfig(k1=k1)
+
 
 class TestBm25Oracle:
     def test_random_corpora_match_brute_force(self, tmp_path):
