@@ -12,11 +12,9 @@ from .evaluation import accuracy, classify_error, evaluate, exact_match, f1, nor
 from .llm import (
     CachedBackend,
     GenRequest,
-    GenResponse,
     HttpBackend,
     ScriptedBackend,
     fingerprint,
-    generate,
 )
 from .pipeline import (
     CandidateResponse,
@@ -51,7 +49,6 @@ __all__ = [
     "DpoPair",
     "EmbeddingClient",
     "GenRequest",
-    "GenResponse",
     "HttpBackend",
     "Judgment",
     "LogProbRecord",
@@ -80,7 +77,6 @@ __all__ = [
     "fingerprint",
     "gen_llm_answer",
     "gen_rag_answer",
-    "generate",
     "ingest",
     "judge",
     "load_qa_file",

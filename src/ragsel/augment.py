@@ -84,26 +84,9 @@ def _cosine(a: Sequence[float], b: Sequence[float]) -> float:
     return dot / (norm_a * norm_b)
 
 
-def similarity(
-    query_a: str,
-    query_b: str,
-    *,
-    mode: str = SIM_LEXICAL,
-    client: EmbeddingClient | None = None,
-) -> float:
-    """Symmetric similarity between two query strings.
-
-    Lexical mode is the no-service fallback: cosine between L2-normalized
-    token-count vectors. Embedding mode asks the endpoint for both vectors.
-    """
-    if mode == SIM_LEXICAL:
-        return _cosine_counts(_count_vector(query_a), _count_vector(query_b))
-    if mode == SIM_EMBEDDING:
-        if client is None:
-            raise AugmentError("embedding similarity requires an EmbeddingClient")
-        vec_a, vec_b = client.embed([query_a, query_b])
-        return _cosine(vec_a, vec_b)
-    raise AugmentError(f"unknown similarity mode {mode!r}")
+def similarity(query_a: str, query_b: str) -> float:
+    """Cosine between the two queries' token-count vectors: the lexical mode of mine_neighbors."""
+    return _cosine_counts(_count_vector(query_a), _count_vector(query_b))
 
 
 def mine_neighbors(
@@ -183,8 +166,6 @@ def expand(
     neighbors: NeighborSet | None,
     lookup: dict[str, PreferenceInstance],
     order_seed: int,
-    *,
-    select_template: str | None = None,
 ) -> list[DpoPair]:
     """Turn one instance into one DPO pair per surviving negative.
 
@@ -193,7 +174,7 @@ def expand(
     pair's presentation order is an independent coin from order_seed, and the
     prompt embeds chosen and rejected verbatim in that order.
     """
-    template = select_template if select_template is not None else load_template("select")
+    template = load_template("select")
     positive_text = render_response(instance.positive.answer, instance.positive.explanation)
     positive_norm = normalize(instance.positive.answer)
     rng = random.Random(order_seed)
@@ -241,7 +222,6 @@ def augment_dataset(
     *,
     mode: str = SIM_LEXICAL,
     client: EmbeddingClient | None = None,
-    select_template: str | None = None,
 ) -> tuple[list[DpoPair], AugmentReport]:
     """Expand every instance, in input order, and report the breakdown.
 
@@ -258,17 +238,12 @@ def augment_dataset(
     if k > 0 and len(dataset) > 1:
         neighbor_map = mine_neighbors(dataset, k, mode=mode, client=client)
 
-    template = select_template if select_template is not None else load_template("select")
     report = AugmentReport(instances=len(dataset))
     pairs: list[DpoPair] = []
     for instance in dataset:
         neighbors = neighbor_map.get(instance.query_id)
         expanded = expand(
-            instance,
-            neighbors,
-            lookup,
-            order_seed=stable_hash_int(order_seed, instance.query_id),
-            select_template=template,
+            instance, neighbors, lookup, order_seed=stable_hash_int(order_seed, instance.query_id)
         )
         possible = 1 + 2 * len(neighbors.neighbors) if neighbors is not None else 1
         report.collision_dropped += possible - len(expanded)

@@ -42,9 +42,6 @@ class EmptyTextError(CorpusError):
         self.ordinal = ordinal
 
 
-MalformedPassageError = MalformedRecordError
-
-
 class PassageNotFoundError(CorpusError):
     def __init__(self, passage_id: str):
         super().__init__(f"no passage with id {passage_id!r}")
@@ -81,11 +78,13 @@ class Corpus:
         offsets_path = self.root / OFFSETS_FILE
         if not offsets_path.exists():
             raise CorpusError(f"{self.root} is not a corpus directory (missing {OFFSETS_FILE})")
-        offsets: dict[str, int] = json.loads(offsets_path.read_text(encoding="utf-8"))
-        raw = json.loads((self.root / STATS_FILE).read_text(encoding="utf-8"))
-        self._stats = CorpusStats(
-            passage_count=raw["passage_count"], total_tokens=raw["total_tokens"]
-        )
+        try:
+            offsets: dict[str, int] = json.loads(offsets_path.read_text(encoding="utf-8"))
+            raw = json.loads((self.root / STATS_FILE).read_text(encoding="utf-8"))
+            self._stats = CorpusStats(passage_count=raw["passage_count"], total_tokens=raw["total_tokens"])
+        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and bad UTF-8
+            raise CorpusError(f"{self.root} holds an unreadable {OFFSETS_FILE} or {STATS_FILE} "
+                              f"({type(exc).__name__}: {exc}); ingest the passages again") from exc
         # offsets.json lists ids in file order, so record i spans
         # bounds[i]:bounds[i + 1], the last one ending at the file's end.
         self._ordinal = {pid: i for i, pid in enumerate(offsets)}
@@ -100,12 +99,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self._ordinal)
-
-    def __contains__(self, passage_id: str) -> bool:
-        return passage_id in self._ordinal
-
-    def ids(self) -> list[str]:
-        return list(self._ordinal)
 
     def get(self, passage_id: str) -> Passage:
         i = self._ordinal.get(passage_id)
@@ -170,7 +163,7 @@ def _write_corpus(source: str | Path | Iterable[dict], root: Path) -> None:
     with open(root / PASSAGES_FILE, "wb") as fh:
         for ordinal, record in records:
             if not isinstance(record, dict) or "id" not in record or "text" not in record:
-                raise MalformedPassageError(ordinal, "record must carry id and text fields")
+                raise MalformedRecordError(ordinal, "record must carry id and text fields")
             pid = str(record["id"])
             text = record["text"]
             if not isinstance(text, str) or not text.strip():

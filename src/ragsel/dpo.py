@@ -129,18 +129,16 @@ def _validate_pair(pair: DpoPair, ordinal: int, template: str) -> None:
         raise DpoError(f"{label}: recorded order says {pair.order} but prompt disagrees")
 
 
-def export_training_file(
-    pairs: Sequence[DpoPair], out_path: str | Path, *, select_template: str | None = None
-) -> ExportSummary:
+def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> ExportSummary:
     """Validate every pair, write the JSONL, and re-read it as a final check.
 
-    Each prompt must hold chosen and rejected in the candidate slots of
-    `select_template` (the packaged one by default), in the recorded order.
+    Each prompt must hold chosen and rejected in the candidate slots of the
+    packaged selection template, in the recorded order.
     Any invariant violation aborts before a single line is written.
     """
     if not pairs:
         raise DpoError("no pairs to export")
-    template = select_template if select_template is not None else load_template("select")
+    template = load_template("select")
     for ordinal, pair in enumerate(pairs, start=1):
         _validate_pair(pair, ordinal, template)
     out = Path(out_path)

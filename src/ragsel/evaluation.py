@@ -157,9 +157,7 @@ class ErrorLabel:
     basis: str = "heuristic"
 
 
-def classify_error(
-    record: "SelectionRecord", golds: Sequence[str], judgment=None
-) -> ErrorLabel:
+def classify_error(record: "SelectionRecord", golds: Sequence[str]) -> ErrorLabel:
     """Assign exactly one error category to a record whose final answer is wrong.
 
     First matching rule wins:
@@ -171,16 +169,10 @@ def classify_error(
          exact match;
       4. reasoning_error   - a gold appears inside a candidate explanation;
       5. lack_of_evidence  - none of the above.
-
-    `judgment` is an optional per-record correctness verdict (anything with
-    internal_correct / grounded_correct / judge_tag attributes, e.g. an rgp
-    Judgment). When given, it replaces the lexical correctness check in rule
-    2, and a model-backed judgment marks the label basis "llm_judge".
     """
     _require_golds(golds)
     if accuracy(record.final_answer, golds) != 0:
         raise EvaluationError(f"record {record.id!r} is not an error (acc=1)")
-    basis = "llm_judge" if judgment is not None and judgment.judge_tag == "llm" else "heuristic"
 
     if record.final_answer == "":
         raws = [record.selector_raw]
@@ -188,22 +180,18 @@ def classify_error(
             if candidate is not None:
                 raws.append(candidate.raw_text)
         if any(accuracy(raw, golds) == 1 for raw in raws):
-            return ErrorLabel(record.id, CATEGORY_FORMATTING_ERROR, basis)
+            return ErrorLabel(record.id, CATEGORY_FORMATTING_ERROR)
 
     if record.internal is not None and record.grounded is not None:
-        if judgment is not None:
-            internal_ok = bool(judgment.internal_correct)
-            grounded_ok = bool(judgment.grounded_correct)
-        else:
-            internal_ok = accuracy(record.internal.answer, golds) == 1
-            grounded_ok = accuracy(record.grounded.answer, golds) == 1
+        internal_ok = accuracy(record.internal.answer, golds) == 1
+        grounded_ok = accuracy(record.grounded.answer, golds) == 1
         if internal_ok != grounded_ok:
             wrong_side = "retrieval" if internal_ok else "internal"
             if record.chosen_source == wrong_side:
-                return ErrorLabel(record.id, CATEGORY_SELECTION_ERROR, basis)
+                return ErrorLabel(record.id, CATEGORY_SELECTION_ERROR)
 
     if record.final_answer and f1(record.final_answer, golds) > 0.0:
-        return ErrorLabel(record.id, CATEGORY_PARTIAL_MATCHING, basis)
+        return ErrorLabel(record.id, CATEGORY_PARTIAL_MATCHING)
 
     explanations = [
         candidate.explanation
@@ -211,21 +199,15 @@ def classify_error(
         if candidate is not None
     ]
     if any(accuracy(expl, golds) == 1 for expl in explanations):
-        return ErrorLabel(record.id, CATEGORY_REASONING_ERROR, basis)
+        return ErrorLabel(record.id, CATEGORY_REASONING_ERROR)
 
-    return ErrorLabel(record.id, CATEGORY_LACK_OF_EVIDENCE, basis)
+    return ErrorLabel(record.id, CATEGORY_LACK_OF_EVIDENCE)
 
 
 def classify_errors(
-    records: Sequence["SelectionRecord"],
-    qa: Sequence[QAPair],
-    judgments: dict | None = None,
+    records: Sequence["SelectionRecord"], qa: Sequence[QAPair]
 ) -> tuple[list[ErrorLabel], dict[str, float]]:
-    """Label every erroneous record and report category shares (summing to 1).
-
-    `judgments` optionally maps record id -> per-record judgment (see
-    classify_error).
-    """
+    """Label every erroneous record and report category shares (summing to 1)."""
     golds_by_id = {pair.id: pair.golden_answers for pair in qa}
     labels = []
     for record in records:
@@ -233,8 +215,7 @@ def classify_errors(
         if golds is None:
             raise EvaluationError(f"record id {record.id!r} has no matching qa pair")
         if accuracy(record.final_answer, golds) == 0:
-            judgment = judgments.get(record.id) if judgments else None
-            labels.append(classify_error(record, golds, judgment))
+            labels.append(classify_error(record, golds))
     counts = Counter(label.category for label in labels)
     total = len(labels)
     shares = {cat: (counts.get(cat, 0) / total if total else 0.0) for cat in ERROR_CATEGORIES}

@@ -79,13 +79,6 @@ class GenRequest:
             raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
 
 
-@dataclass
-class GenResponse:
-    text: str  # the raw completion, unmodified
-    backend_tag: str
-    latency_ms: int
-
-
 def fingerprint(request: GenRequest) -> str:
     """Content hash of the request; equal requests hash equal across processes."""
     payload = json.dumps(
@@ -354,10 +347,3 @@ class CachedBackend:
         write_atomic(path, text)
         return text
 
-
-def generate(backend: Backend, request: GenRequest) -> GenResponse:
-    """Run one completion; timing is wall-clock around the backend call."""
-    start = time.perf_counter()
-    text = backend.complete(request)
-    latency_ms = int((time.perf_counter() - start) * 1000)
-    return GenResponse(text=text, backend_tag=backend.tag, latency_ms=latency_ms)

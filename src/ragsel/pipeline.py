@@ -14,6 +14,7 @@ and is parsed by splitting on the LAST "Answer:" marker, case-insensitively.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 import re
@@ -28,7 +29,7 @@ from .corpus import Passage
 from .data import QAPair, Record, decode_failure, read_records, stable_hash_int, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
-from .llm import Backend, GatewayError, GenRequest, generate, in_flight_cap
+from .llm import Backend, GatewayError, GenRequest, in_flight_cap
 
 SOURCE_INTERNAL = "internal"
 SOURCE_RETRIEVAL = "retrieval"
@@ -134,12 +135,10 @@ _REQUIRED_PLACEHOLDERS = {
 }
 
 
+@functools.cache
 def load_template(name: str) -> str:
+    """A packaged template, read once per process."""
     return (TEMPLATE_DIR / f"{name}.txt").read_text(encoding="utf-8")
-
-
-def load_default_exemplars() -> list[Exemplar]:
-    return _load_exemplars(TEMPLATE_DIR / "fewshot_examples.json")
 
 
 def _load_exemplars(path: str | Path) -> list[Exemplar]:
@@ -193,7 +192,9 @@ class PromptSet:
             raise PromptTemplateError("shots must be 0 or 3")
         exemplars: list[Exemplar] = []
         if shots == 3:
-            exemplars = load_default_exemplars() if fewshot_path is None else _load_exemplars(fewshot_path)
+            if fewshot_path is None:
+                fewshot_path = TEMPLATE_DIR / "fewshot_examples.json"
+            exemplars = _load_exemplars(fewshot_path)
         return cls(
             llm_only_template=load_template("llm_only"),
             rag_template=load_template("rag"),
@@ -249,8 +250,8 @@ def gen_llm_answer(
 ) -> CandidateResponse:
     """Candidate from the model's own knowledge, no passages in the prompt."""
     prompt = prompts.llm_only_prompt(question)
-    response = generate(backend, GenRequest(user_prompt=prompt, max_tokens=max_tokens))
-    return CandidateResponse.from_raw(response.text, SOURCE_INTERNAL)
+    raw = backend.complete(GenRequest(user_prompt=prompt, max_tokens=max_tokens))
+    return CandidateResponse.from_raw(raw, SOURCE_INTERNAL)
 
 
 def fit_passages(
@@ -284,8 +285,8 @@ def gen_rag_answer(
         raise PipelineError("gen_rag_answer requires at least one passage")
     kept = fit_passages(prompts, question, passages, budget)
     prompt = prompts.rag_prompt(question, kept)
-    response = generate(backend, GenRequest(user_prompt=prompt, max_tokens=max_tokens))
-    return CandidateResponse.from_raw(response.text, SOURCE_RETRIEVAL), [p.id for p in kept]
+    raw = backend.complete(GenRequest(user_prompt=prompt, max_tokens=max_tokens))
+    return CandidateResponse.from_raw(raw, SOURCE_RETRIEVAL), [p.id for p in kept]
 
 
 def gen_retrieved_answer(
@@ -408,11 +409,11 @@ def select(
         render_response(first.answer, first.explanation),
         render_response(second.answer, second.explanation),
     )
-    response = generate(backend, GenRequest(user_prompt=prompt, max_tokens=max_tokens))
+    raw = backend.complete(GenRequest(user_prompt=prompt, max_tokens=max_tokens))
     order = ORDER_INTERNAL_FIRST if internal_first else ORDER_RETRIEVAL_FIRST
 
     try:
-        explanation, answer = parse_response(response.text)
+        explanation, answer = parse_response(raw)
     except ResponseParseError:
         explanation, answer = "", ""
     chosen = _match_choice(answer, first, second) if answer else None
@@ -428,7 +429,7 @@ def select(
         chosen_source=chosen.source if chosen else CHOSEN_NEITHER,
         presentation_order=order,
         passages_used=list(passages_used),
-        selector_raw=response.text,
+        selector_raw=raw,
     )
 
 

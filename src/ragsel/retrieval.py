@@ -22,7 +22,6 @@ passage ids, terms) and one `.npy` file per array in `INDEX_ARRAYS`.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
 import re
@@ -61,12 +60,6 @@ class RetrievalError(RagselError):
 
 class EmptyCorpusError(RetrievalError):
     pass
-
-
-class UnknownPassageError(RetrievalError):
-    def __init__(self, passage_id: str):
-        super().__init__(f"passage {passage_id!r} is not in the index")
-        self.passage_id = passage_id
 
 
 class IndexFormatError(RetrievalError):
@@ -210,13 +203,6 @@ class Bm25Index:
         spans = [span for span in map(p.span, query_tokens) if span is not None]
         return p.row_sums((p.rows[span] for span in spans), (impacts[span] for span in spans))
 
-    def score(self, query: str, passage_id: str) -> float:
-        """BM25 score of one passage for a query; 0 iff no query term occurs."""
-        row = bisect.bisect_left(self.ids, passage_id)
-        if row == self.N or self.ids[row] != passage_id:
-            raise UnknownPassageError(passage_id)
-        return float(self._scores(tokenize(query))[row])
-
     def retrieve(self, query: str, top_k: int) -> RetrievalResult:
         """Top-k positive-scoring passages, best first, ties by ascending id."""
         if top_k < 1:
@@ -252,10 +238,14 @@ class Bm25Index:
         path = Path(index_dir) / INDEX_FILE
         if not path.exists():
             raise IndexFormatError(f"{index_dir} does not contain {INDEX_FILE}")
-        header = json.loads(path.read_text(encoding="utf-8"))
-        if header.get("format") != INDEX_FORMAT:
-            raise IndexFormatError(f"unrecognized index format {header.get('format')!r}")
         rebuild = "; rebuild it with `ragsel index build`"
+        try:
+            header = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:  # a JSONDecodeError or a UnicodeDecodeError
+            raise IndexFormatError(f"{path} is not a JSON index header ({exc}){rebuild}") from exc
+        fmt = header.get("format") if isinstance(header, dict) else None
+        if fmt != INDEX_FORMAT:
+            raise IndexFormatError(f"unrecognized index format {fmt!r}")
         if header.get("version") != INDEX_VERSION:
             raise IndexFormatError(
                 f"index version {header.get('version')!r} is not supported "
@@ -265,19 +255,19 @@ class Bm25Index:
         for file in index_files(index_dir)[1:]:
             if not file.exists():
                 raise IndexFormatError(f"{index_dir} is missing {file.name}{rebuild}")
-            arrays.append(np.load(file, allow_pickle=False))
+            try:
+                arrays.append(np.load(file, allow_pickle=False))
+            except (ValueError, EOFError) as exc:
+                raise IndexFormatError(f"{file} is not a readable array ({exc}){rebuild}") from exc
         term_ptr, rows, tfs, lengths = arrays
-        ids, terms = header["ids"], header["terms"]
+        try:
+            k1, b, ids, terms = (header[key] for key in ("k1", "b", "ids", "terms"))
+        except KeyError as exc:
+            raise IndexFormatError(f"{path} lacks the field {exc}{rebuild}") from exc
         if not (len(term_ptr) == len(terms) + 1 and len(rows) == len(tfs) == term_ptr[-1]
                 and len(lengths) == len(ids)):
             raise IndexFormatError(f"{index_dir} holds arrays of inconsistent sizes{rebuild}")
-        return cls(
-            k1=header["k1"],
-            b=header["b"],
-            ids=ids,
-            postings=Postings(terms, term_ptr, rows, tfs, lengths),
-            corpus_path=header.get("corpus_path"),
-        )
+        return cls(k1, b, ids, Postings(terms, term_ptr, rows, tfs, lengths), header.get("corpus_path"))
 
 
 def index_files(index_dir: str | Path) -> list[Path]:

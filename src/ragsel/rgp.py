@@ -21,7 +21,7 @@ from .corpus import Corpus
 from .data import FieldTypeError, QAPair, Record, read_records, stable_hash_int, write_jsonl
 from .errors import RagselError
 from .evaluation import accuracy, normalize
-from .llm import Backend, GatewayError, GenRequest, generate
+from .llm import Backend, GatewayError, GenRequest
 from .pipeline import (
     CandidateResponse,
     PromptSet,
@@ -148,7 +148,6 @@ def judge(
     *,
     mode: str = JUDGE_LEXICAL,
     backend: Backend | None = None,
-    judge_template: str | None = None,
 ) -> bool:
     """Is the candidate correct against the gold aliases?
 
@@ -165,11 +164,10 @@ def judge(
     if mode == JUDGE_LLM:
         if backend is None:
             raise RgpError("llm judge mode requires a backend")
-        template = judge_template if judge_template is not None else load_template("judge")
-        prompt = template.replace("{golden}", "; ".join(golden_answers)).replace(
+        prompt = load_template("judge").replace("{golden}", "; ".join(golden_answers)).replace(
             "{candidate}", candidate_answer
         )
-        reply = generate(backend, GenRequest(user_prompt=prompt, max_tokens=8)).text
+        reply = backend.complete(GenRequest(user_prompt=prompt, max_tokens=8))
         match = _VERDICT_RE.search(reply)
         if not match:
             raise JudgeError(f"judge reply carries no yes/no verdict: {reply!r}")

@@ -48,10 +48,6 @@ class TestSimilarity:
     def test_empty_string_is_orthogonal(self):
         assert similarity("", "anything") == 0.0
 
-    def test_embedding_mode_requires_client(self):
-        with pytest.raises(AugmentError):
-            similarity("a", "b", mode="embedding")
-
 
 class TestMineNeighbors:
     def test_m_minus_one_cap(self):

@@ -217,6 +217,34 @@ def test_malformed_fewshot_file_exits_one_with_json_error(tmp_path, capsys, fews
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "cut, argv, error, hint",
+    [
+        ("index/index.json", "retrieve --index {t}/index --query marker1",
+         "IndexFormatError", "rebuild it with `ragsel index build`"),
+        ("corpus/offsets.json", "run --mode self-select --qa {t}/qa.jsonl --index {t}/index "
+         "--script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
+    ],
+    ids=["index-header", "corpus-offsets"],
+)
+def test_truncated_index_or_corpus_file_exits_one_with_json_error(tmp_path, capsys, cut, argv, error, hint):
+    """A crash while writing leaves a cut file; reading it is one error line, not a traceback."""
+    passages_path, _qa, _script = _desk_inputs(tmp_path)
+    assert main(["corpus", "ingest", "--passages", str(passages_path), "--out", str(tmp_path / "corpus")]) == 0
+    assert main(["index", "build", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "index")]) == 0
+    damaged = tmp_path / cut
+    damaged.write_bytes(damaged.read_bytes()[:-5])
+    capsys.readouterr()
+    assert main(argv.format(t=tmp_path).split()) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    [line] = captured.err.strip().splitlines()
+    last = json.loads(line)
+    assert last["error"] == error
+    assert last["message"].endswith(hint)
+    assert not (tmp_path / "out.jsonl").exists()
+
+
 class TestEndToEnd:
     def test_full_desk_pipeline(self, tmp_path, capsys):
         passages_path, qa_path, script_path = _desk_inputs(tmp_path)

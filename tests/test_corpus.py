@@ -12,10 +12,10 @@ from ragsel.corpus import (
     CorpusError,
     DuplicatePassageError,
     EmptyTextError,
-    MalformedPassageError,
     PassageNotFoundError,
     ingest,
 )
+from ragsel.data import MalformedRecordError
 from ragsel.retrieval import tokenize
 
 
@@ -47,7 +47,7 @@ def test_empty_text_rejected_with_ordinal(tmp_path):
 def test_malformed_line_rejected_with_line_number(tmp_path):
     src = tmp_path / "passages.jsonl"
     src.write_text('{"id": "p1", "text": "ok"}\nnot json\n', encoding="utf-8")
-    with pytest.raises(MalformedPassageError) as excinfo:
+    with pytest.raises(MalformedRecordError) as excinfo:
         ingest(src, tmp_path / "c")
     assert excinfo.value.line_no == 2
 
@@ -61,6 +61,18 @@ def test_get_missing_id(tmp_path):
     handle = ingest([{"id": "p1", "text": "apple pie"}], tmp_path / "c")
     with pytest.raises(PassageNotFoundError):
         handle.get("missing")
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [("offsets.json", '{"p1": 0, "p2'), ("stats.json", '{"passage_count'), ("stats.json", "{}")],
+    ids=["offsets-cut", "stats-cut", "stats-without-counts"],
+)
+def test_open_refuses_an_undecodable_file(tmp_path, name, content):
+    ingest([{"id": "p1", "text": "apple pie"}, {"id": "p2", "text": "tart"}], tmp_path / "c")
+    (tmp_path / "c" / name).write_text(content)
+    with pytest.raises(CorpusError, match="ingest the passages again"):
+        Corpus(tmp_path / "c")
 
 
 def test_round_trip_preserves_multibyte_text(tmp_path):

@@ -237,15 +237,6 @@ class TestExport:
         pair.order = "chosen_first"
         assert export_training_file([pair], out).total == 1
 
-    def test_slots_follow_a_custom_select_template(self, tmp_path):
-        pair = _pair(order="rejected_first")
-        pair.prompt = f"q0 | {pair.rejected} | {pair.chosen}"
-        out = tmp_path / "pairs.jsonl"
-        with pytest.raises(DpoError, match="verbatim"):
-            export_training_file([pair], out)
-        template = "{question} | {candidate_1} | {candidate_2}"
-        assert export_training_file([pair], out, select_template=template).total == 1
-
     def test_loadable_by_plain_json_reader(self, tmp_path):
         out = tmp_path / "pairs.jsonl"
         export_training_file([_pair(0)], out)

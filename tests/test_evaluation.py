@@ -263,24 +263,6 @@ class TestClassifyError:
         )
         assert classify_error(record, ["Stagecoaches"]).category == CATEGORY_LACK_OF_EVIDENCE
 
-    def test_judgment_overrides_lexical_correctness(self):
-        from ragsel.rgp import Judgment
-
-        # Lexically both answers look wrong, but a model judge ruled the
-        # grounded one correct; with the judgment supplied this becomes a
-        # selection error with llm_judge basis.
-        record = _record(
-            "a",
-            "the borough in west London",
-            internal=_cand("the borough in west London", SOURCE_INTERNAL),
-            grounded=_cand("K&C", SOURCE_RETRIEVAL),
-            chosen_source=SOURCE_INTERNAL,
-        )
-        judgment = Judgment(internal_correct=False, grounded_correct=True, judge_tag="llm")
-        label = classify_error(record, self.GOLDS, judgment)
-        assert label.category == CATEGORY_SELECTION_ERROR
-        assert label.basis == "llm_judge"
-
     def test_every_error_gets_exactly_one_category(self):
         records = [
             _record("a", "Wellingborough",

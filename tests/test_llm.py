@@ -16,16 +16,13 @@ from ragsel.llm import (
     StatusError,
     TransportError,
     fingerprint,
-    generate,
 )
 
 
 class TestScriptedBackend:
     def test_table_lookup(self):
         backend = ScriptedBackend({"q1": "Explanation: E. Answer: A"})
-        response = generate(backend, GenRequest(user_prompt="please answer q1 now"))
-        assert response.text == "Explanation: E. Answer: A"
-        assert response.backend_tag == "scripted"
+        assert backend.complete(GenRequest(user_prompt="please answer q1 now")) == "Explanation: E. Answer: A"
 
     def test_unknown_key_is_a_miss(self):
         backend = ScriptedBackend({"q1": "reply"})
@@ -131,9 +128,7 @@ class TestHttpBackend:
     def test_returns_stub_body(self, http_stub):
         http_stub.enqueue(200, chat_body("hello from the stub"))
         backend = self._backend(http_stub.url)
-        response = generate(backend, GenRequest(user_prompt="hi", system_prompt="sys"))
-        assert response.text == "hello from the stub"
-        assert response.backend_tag == "http:test-model"
+        assert backend.complete(GenRequest(user_prompt="hi", system_prompt="sys")) == "hello from the stub"
         sent = http_stub.requests[0]
         assert sent["messages"] == [
             {"role": "system", "content": "sys"},
@@ -202,10 +197,14 @@ class TestCachedBackend:
         assert http_stub.hits == 2
 
     def test_forwards_the_inner_in_flight_cap(self, tmp_path):
-        http = HttpBackend("http://127.0.0.1:1/v1", model_name="m", max_in_flight=3)
+        http = HttpBackend("http://127.0.0.1:1/v1", model_name="test-model", max_in_flight=3)
+        scripted = ScriptedBackend({})
         assert CachedBackend(http, tmp_path / "a").max_in_flight == 3
-        assert CachedBackend(ScriptedBackend({}), tmp_path / "b").max_in_flight == 1
-        assert llm.in_flight_cap(ScriptedBackend({})) == 1
+        assert CachedBackend(scripted, tmp_path / "b").max_in_flight == 1
+        assert llm.in_flight_cap(scripted) == 1
+        assert (http.tag, scripted.tag) == ("http:test-model", "scripted")
+        assert CachedBackend(http, tmp_path / "c").tag == http.tag
+        assert CachedBackend(scripted, tmp_path / "d").tag == scripted.tag
 
     def test_cache_works_over_scripted_backend_too(self, tmp_path):
         backend = CachedBackend(ScriptedBackend({"q": "r"}), tmp_path / "cache")

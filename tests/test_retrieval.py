@@ -15,7 +15,6 @@ from ragsel.retrieval import (
     EmptyCorpusError,
     IndexFormatError,
     RetrievalConfig,
-    UnknownPassageError,
     INDEX_VERSION,
     build_index,
     index_files,
@@ -60,6 +59,12 @@ def brute_force_bm25(docs: dict[str, list[str]], query_tokens: list[str], k1: fl
     return scores
 
 
+def scores_by_id(index, query):
+    """Every positive BM25 score for the query, by passage id; a passage that
+    scores 0 is absent."""
+    return dict(index.retrieve(query, index.N).hits)
+
+
 def brute_force_rank(docs, query, k1, b, top_k):
     scores = brute_force_bm25(docs, tokenize(query), k1, b)
     ranked = sorted(((p, s) for p, s in scores.items() if s > 0), key=lambda x: (-x[1], x[0]))
@@ -78,13 +83,8 @@ class TestBm25:
 
     def test_score_zero_when_term_absent(self, tiny_corpus):
         index = build_index(tiny_corpus)
-        assert index.score("zzz", "doc0") == 0.0
-        assert index.score("apple", "doc2") == 0.0
-
-    def test_score_unknown_passage(self, tiny_corpus):
-        index = build_index(tiny_corpus)
-        with pytest.raises(UnknownPassageError):
-            index.score("apple", "nope")
+        assert scores_by_id(index, "zzz") == {}
+        assert "doc2" not in scores_by_id(index, "apple")
 
     def test_hand_evaluated_scores(self, tiny_corpus):
         # docs: "apple apple pie" / "apple tart" / "banana bread",
@@ -93,14 +93,16 @@ class TestBm25:
         idf = math.log(1 + (3 - 2 + 0.5) / (2 + 0.5))  # ln(1.6)
         doc0 = idf * 2 * 2.2 / (2 + 1.2 * (0.25 + 0.75 * (3 / (7 / 3))))
         doc1 = idf * 1 * 2.2 / (1 + 1.2 * (0.25 + 0.75 * (2 / (7 / 3))))
-        assert index.score("apple", "doc0") == pytest.approx(doc0, rel=1e-12)
-        assert index.score("apple", "doc1") == pytest.approx(doc1, rel=1e-12)
-        assert index.score("apple", "doc0") > index.score("apple", "doc1") > 0.0
+        scores = scores_by_id(index, "apple")
+        assert scores["doc0"] == pytest.approx(doc0, rel=1e-12)
+        assert scores["doc1"] == pytest.approx(doc1, rel=1e-12)
+        assert scores["doc0"] > scores["doc1"] > 0.0
+        assert "doc2" not in scores
 
     def test_single_doc_corpus_positive_score(self, tmp_path):
         corpus = make_corpus(tmp_path, [{"id": "only", "text": "solo document"}])
         index = build_index(corpus)
-        assert index.score("solo document", "only") > 0.0
+        assert scores_by_id(index, "solo document")["only"] > 0.0
 
     def test_retrieve_matches_brute_force(self, tiny_corpus):
         index = build_index(tiny_corpus)
@@ -160,7 +162,9 @@ class TestBm25:
             ],
         )
         index = build_index(corpus)
-        assert index.score("target", "high") > index.score("target", "low") > 0.0
+        scores = scores_by_id(index, "target")
+        assert scores["high"] > scores["low"] > 0.0
+        assert "other" not in scores
 
     def test_save_load_round_trip(self, tiny_corpus, tmp_path):
         index = build_index(tiny_corpus)
@@ -200,6 +204,24 @@ class TestBm25:
         build_index(tiny_corpus).save(tmp_path / "idx")
         (tmp_path / "idx" / "rows.npy").unlink()
         with pytest.raises(IndexFormatError, match="rows.npy.*ragsel index build"):
+            Bm25Index.load(tmp_path / "idx")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda idx: (idx / "index.json").write_bytes((idx / "index.json").read_bytes()[:-5]),
+            lambda idx: (idx / "index.json").write_text(
+                json.dumps({k: v for k, v in json.loads((idx / "index.json").read_text()).items() if k != "ids"})
+            ),
+            lambda idx: (idx / "rows.npy").write_bytes(b"junk\n"),
+            lambda idx: (idx / "rows.npy").write_bytes((idx / "rows.npy").read_bytes()[:-3]),
+        ],
+        ids=["header-cut", "header-without-ids", "rows-junk", "rows-cut"],
+    )
+    def test_load_refuses_an_undecodable_file(self, tiny_corpus, tmp_path, damage):
+        build_index(tiny_corpus).save(tmp_path / "idx")
+        damage(tmp_path / "idx")
+        with pytest.raises(IndexFormatError, match="ragsel index build"):
             Bm25Index.load(tmp_path / "idx")
 
     def test_load_rejects_unknown_format(self, tmp_path):
@@ -302,7 +324,7 @@ class TestImpacts:
             rng.shuffle(query_tokens)
             expected = brute_force_bm25(docs, query_tokens, 1.2, 0.75)
             query = " ".join(query_tokens)
-            assert {pid: index.score(query, pid) for pid in docs} == expected
+            assert scores_by_id(index, query) == {pid: s for pid, s in expected.items() if s > 0}
             assert index.retrieve(query, 7).hits == brute_force_rank(docs, query, 1.2, 0.75, 7)
 
     def test_loaded_index_has_identical_impacts(self, tmp_path):
