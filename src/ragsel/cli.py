@@ -4,17 +4,20 @@
 as defaults < config file < flags < environment. The config file is flat
 `key = value` lines, found via --config or the SELECTOR_RAG_CONFIG
 environment variable; per-key environment overrides use the SELECTOR_RAG_
-prefix (e.g. SELECTOR_RAG_TOP_K=3). Each value is parsed by its type and
-checked against its range in `_SETTINGS`, for every command whether it reads
-the key or not, and set on `args` under its key. Secrets never appear in
-manifests: config names the environment variable holding the token, not the
-token itself.
+prefix (e.g. SELECTOR_RAG_TOP_K=3). `_SETTINGS` declares each setting once:
+its default, its one check and its flag, if it has one. Every value, from a
+flag, the config file or the environment alike, is checked by its row, for
+every command whether it reads the key or not, and set on `args` under its
+key. Each subcommand names the settings it reads once (`_set_command`);
+those get their flags, and the manifest records them all. Secrets never
+appear in manifests: config names the environment variable holding the
+token, not the token itself, and the endpoint URL must not carry one.
 
 A handler takes only `args` and returns an `Outcome`. `_finish` writes all
 of a command's bookkeeping from it: the optional `--out` JSON, whole or not
-at all; then the manifest beside `--out` (command line, the named settings,
-seeds, and the digests of the inputs and the config file); then the stdout
-line.
+at all; then the manifest beside `--out` (command line, the settings the
+command reads, seeds, and the digests of the inputs and the config file);
+then the stdout line.
 
 Exit codes: 0 success, 1 runtime failure (with a machine-readable JSON error
 line on stderr), 2 usage errors, among them a setting that does not parse or
@@ -61,47 +64,52 @@ ENV_CONFIG_PATH = "SELECTOR_RAG_CONFIG"
 ENV_PREFIX = "SELECTOR_RAG_"
 
 
-def _checked(kind: type, ok: Callable[[Any], bool], rule: str) -> Callable[[Any], Any]:
-    """A parser converting by `kind` that accepts only values `ok` accepts."""
+@dataclass(frozen=True)
+class _Setting:
+    """A setting's default, the type a raw value converts to, the values `ok`
+    accepts (told by `allowed` in `--help` and in errors), and its flag."""
 
-    def parse(raw: Any) -> Any:
-        value = kind(raw)
-        if not ok(value):
-            raise ValueError(f"must be {rule}")
-        return value
-
-    return parse
-
-
-def _at_least(low: int) -> Callable[[Any], Any]:
-    return _checked(int, lambda value: value >= low, f">= {low}")
+    default: Any
+    kind: type
+    allowed: str
+    ok: Callable[[Any], bool] = lambda value: True
+    flag: str | None = None
 
 
-def _one_of(*choices: str) -> Callable[[Any], Any]:
-    return _checked(str, lambda value: value in choices, " or ".join(choices))
+def _at_least(default: int, low: int, flag: str | None = None) -> _Setting:
+    return _Setting(default, int, f"an integer >= {low}", lambda value: value >= low, flag)
 
 
-_POSITIVE = _checked(float, lambda value: 0 < value < math.inf, "finite and > 0")
+def _one_of(default: str, choices: tuple[str, ...], flag: str) -> _Setting:
+    return _Setting(default, str, " or ".join(choices), lambda value: value in choices, flag)
 
-# key -> (default, parser); a flag's dest is its key.
-_SETTINGS: dict[str, tuple[Any, Callable[[Any], Any]]] = {
-    "endpoint_url": ("", str),
-    "api_key_env": ("", str),
-    "model_name": ("default", str),
-    "max_retries": (3, _at_least(0)),
-    "max_in_flight": (4, _at_least(1)),
-    "top_k": (5, _at_least(1)),
-    "k1": (1.2, _POSITIVE),
-    "b": (0.75, _checked(float, lambda value: 0 <= value <= 1, "in [0, 1]")),
-    "shots": (0, _checked(int, lambda value: value in (0, 3), "0 or 3")),
-    "seed": (0, int),
-    "beta": (0.1, _POSITIVE),
-    "k": (2, _at_least(0)),
-    "judge": (rgp_mod.JUDGE_LEXICAL, _one_of(rgp_mod.JUDGE_LLM, rgp_mod.JUDGE_LEXICAL)),
-    "similarity": (augment_mod.SIM_LEXICAL, _one_of(augment_mod.SIM_EMBEDDING, augment_mod.SIM_LEXICAL)),
-    "budget": (0, _at_least(0)),  # 0 = no prompt budget
-    "max_tokens": (512, _at_least(1)),
+
+def _finite_positive(value: float) -> bool:
+    return 0 < value < math.inf
+
+
+# The one declaration of each setting; a flag's dest is its key.
+_SETTINGS: dict[str, _Setting] = {
+    "endpoint_url": _Setting("", str, "a chat or embedding endpoint URL", flag="--endpoint"),
+    "api_key_env": _Setting("", str, "the name of the environment variable holding the token"),
+    "model_name": _Setting("default", str, "any text"),
+    "max_retries": _at_least(3, 0),
+    "max_in_flight": _at_least(4, 1),
+    "top_k": _at_least(5, 1, "--top-k"),
+    "k1": _Setting(1.2, float, "a finite number > 0", _finite_positive, "--k1"),
+    "b": _Setting(0.75, float, "a number in [0, 1]", lambda value: 0 <= value <= 1, "--b"),
+    "shots": _Setting(0, int, "0 or 3", lambda value: value in (0, 3), "--shots"),
+    "seed": _Setting(0, int, "an integer", flag="--seed"),
+    "beta": _Setting(0.1, float, "a finite number > 0", _finite_positive, "--beta"),
+    "k": _at_least(2, 0, "--k"),
+    "judge": _one_of(rgp_mod.JUDGE_LEXICAL, (rgp_mod.JUDGE_LLM, rgp_mod.JUDGE_LEXICAL), "--judge"),
+    "similarity": _one_of(augment_mod.SIM_LEXICAL, (augment_mod.SIM_EMBEDDING, augment_mod.SIM_LEXICAL),
+                          "--similarity"),
+    "budget": _at_least(0, 0, "--budget"),  # 0 = no prompt budget
+    "max_tokens": _at_least(512, 1),
 }
+# The settings `_make_backend` reads.
+_BACKEND_SETTINGS = ("endpoint_url", "api_key_env", "model_name", "max_retries", "max_in_flight")
 
 
 def _resolve_settings(args: argparse.Namespace) -> None:
@@ -117,15 +125,18 @@ def _resolve_settings(args: argparse.Namespace) -> None:
                 continue
             key, _, value = line.partition("=")
             file_values[key.strip()] = value.strip()
-    for key, (default, parse) in _SETTINGS.items():
-        value = file_values.get(key, default)
+    for key, setting in _SETTINGS.items():
+        value = file_values.get(key, setting.default)
         if getattr(args, key, None) is not None:
             value = getattr(args, key)
         value = os.environ.get(ENV_PREFIX + key.upper(), value)
         try:
-            setattr(args, key, parse(value))
+            parsed = setting.kind(value)
+            if not setting.ok(parsed):
+                raise ValueError(f"must be {setting.allowed}")
         except ValueError as exc:
             raise SettingError(f"setting {key} = {value!r}: {exc}") from None
+        setattr(args, key, parsed)
 
 
 @dataclass
@@ -134,7 +145,6 @@ class Outcome:
 
     line: dict | str  # the stdout line: a dict as JSON, text as is
     inputs: list[str | Path] = field(default_factory=list)  # digested in the manifest
-    config: tuple[str, ...] = ()  # the settings the manifest records
     seeds: dict[str, int] = field(default_factory=dict)
     out_json: dict | None = None  # written to --out, when given
     failure: str | None = None  # set when nothing in the batch succeeded
@@ -146,11 +156,11 @@ def _finish(args: argparse.Namespace, outcome: Outcome, command_line: str) -> in
     out = getattr(args, "out", None)
     if out:
         if outcome.out_json is not None:
-            write_atomic(out, json.dumps(outcome.out_json, ensure_ascii=False))
+            write_atomic(out, [json.dumps(outcome.out_json, ensure_ascii=False)])
         write_manifest(
             out,
             command_line=command_line,
-            config={key: getattr(args, key) for key in outcome.config},
+            config={key: getattr(args, key) for key in args.settings},
             seeds=outcome.seeds,
             inputs=outcome.inputs + ([args.config] if args.config else []),
         )
@@ -213,7 +223,7 @@ def cmd_index_build(args) -> Outcome:
     index = build_index(handle, RetrievalConfig(k1=args.k1, b=args.b))
     index.save(args.out)
     line = {"passages": index.N, "terms": len(index.postings.terms), "out": str(args.out)}
-    return Outcome(line, inputs=handle.input_files(), config=("k1", "b"))
+    return Outcome(line, inputs=handle.input_files())
 
 
 def cmd_retrieve(args) -> Outcome:
@@ -230,8 +240,8 @@ _MODE_BY_FLAG = {
 
 def cmd_run(args) -> Outcome:
     qa = load_qa_file(args.qa)
-    backend = _make_backend(args)
     prompts = pipeline.PromptSet.default(shots=args.shots, fewshot_path=args.fewshot)
+    backend = _make_backend(args)
     mode = _MODE_BY_FLAG[args.mode]
     index = corpus = None
     inputs: list[str | Path] = [args.qa]
@@ -258,7 +268,6 @@ def cmd_run(args) -> Outcome:
     return Outcome(
         {"records": len(records), "out": str(args.out), "audit": pipeline.audit_selection(records)},
         inputs=inputs,
-        config=("top_k", "shots", "budget", "max_tokens"),
         seeds={"order_seed": args.seed},
         failure=_none_succeeded(len(records), errors, "records carry an error"),
     )
@@ -284,7 +293,6 @@ def cmd_rgp_build(args) -> Outcome:
     return Outcome(
         {"instances": len(instances), "out": str(args.out), "report": report.to_dict()},
         inputs=inputs + ([args.script] if args.script else []),
-        config=("judge", "max_tokens"),
         seeds={"seed": args.seed},
         failure=_none_succeeded(report.total, report.quarantine_reasons, "items were quarantined"),
     )
@@ -306,7 +314,6 @@ def cmd_rgp_augment(args) -> Outcome:
     return Outcome(
         {"pairs": summary.total, "out": str(args.out), "report": report.to_dict()},
         inputs=[args.in_path],
-        config=("k", "similarity"),
         seeds={"order_seed": args.seed},
     )
 
@@ -321,9 +328,7 @@ def cmd_dpo_loss(args) -> Outcome:
     records = dpo_mod.load_logprob_file(args.in_path)
     mean, per_pair = dpo_mod.dataset_loss(records, dpo_mod.DpoConfig(beta=args.beta))
     payload = {"mean_loss": mean, "n": len(per_pair), "beta": args.beta}
-    return Outcome(
-        payload, inputs=[args.in_path], config=("beta",), out_json={**payload, "per_pair": per_pair}
-    )
+    return Outcome(payload, inputs=[args.in_path], out_json={**payload, "per_pair": per_pair})
 
 
 def cmd_eval(args) -> Outcome:
@@ -344,9 +349,18 @@ def cmd_errors_classify(args) -> Outcome:
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--endpoint", dest="endpoint_url", help="chat-completions endpoint URL")
     parser.add_argument("--script", help="JSONL script file for the offline backend")
     parser.add_argument("--cache", help="directory for the response replay cache")
+
+
+def _set_command(parser: argparse.ArgumentParser, handler: Callable, settings: tuple[str, ...] = ()) -> None:
+    """Bind `handler` to `parser` with the settings it reads: each gets its
+    flag, if it has one, and the manifest records them all."""
+    for key in settings:
+        setting = _SETTINGS[key]
+        if setting.flag:
+            parser.add_argument(setting.flag, dest=key, help=f"{setting.allowed} (default: {setting.default!r})")
+    parser.set_defaults(handler=handler, settings=settings)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,36 +373,29 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest = corpus_sub.add_parser("ingest", help="ingest a passages JSONL file")
     p_ingest.add_argument("--passages", required=True)
     p_ingest.add_argument("--out", required=True)
-    p_ingest.set_defaults(handler=cmd_corpus_ingest)
+    _set_command(p_ingest, cmd_corpus_ingest)
 
     p_index = sub.add_parser("index", help="retrieval index commands")
     index_sub = p_index.add_subparsers(dest="subcommand", required=True)
     p_build = index_sub.add_parser("build", help="build the lexical index from a corpus")
     p_build.add_argument("--corpus", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--k1", type=float)
-    p_build.add_argument("--b", type=float)
-    p_build.set_defaults(handler=cmd_index_build)
+    _set_command(p_build, cmd_index_build, ("k1", "b"))
 
     p_retrieve = sub.add_parser("retrieve", help="query an index")
     p_retrieve.add_argument("--index", required=True)
     p_retrieve.add_argument("--query", required=True)
-    p_retrieve.add_argument("--top-k", type=int, dest="top_k")
-    p_retrieve.set_defaults(handler=cmd_retrieve)
+    _set_command(p_retrieve, cmd_retrieve, ("top_k",))
 
     p_run = sub.add_parser("run", help="answer a QA set in one of three modes")
     p_run.add_argument("--mode", required=True, choices=sorted(_MODE_BY_FLAG))
     p_run.add_argument("--qa", required=True)
     p_run.add_argument("--index")
     p_run.add_argument("--corpus")
-    p_run.add_argument("--shots", type=int, choices=(0, 3))
-    p_run.add_argument("--fewshot", help="JSON file of 3 exemplars (default: packaged ones)")
-    p_run.add_argument("--top-k", type=int, dest="top_k")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--budget", type=int, help="max prompt characters (0 = unlimited)")
+    p_run.add_argument("--fewshot", help="JSON file of 3 exemplars, with shots 3 (default: packaged ones)")
     p_run.add_argument("--out", required=True)
     _add_backend_flags(p_run)
-    p_run.set_defaults(handler=cmd_run)
+    _set_command(p_run, cmd_run, _BACKEND_SETTINGS + ("top_k", "shots", "seed", "budget", "max_tokens"))
 
     p_rgp = sub.add_parser("rgp", help="preference dataset commands")
     rgp_sub = p_rgp.add_subparsers(dest="subcommand", required=True)
@@ -396,41 +403,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_rgp_build.add_argument("--qa", required=True)
     p_rgp_build.add_argument("--index", required=True)
     p_rgp_build.add_argument("--corpus")
-    p_rgp_build.add_argument("--judge", choices=(rgp_mod.JUDGE_LLM, rgp_mod.JUDGE_LEXICAL))
-    p_rgp_build.add_argument("--seed", type=int)
     p_rgp_build.add_argument("--out", required=True)
     _add_backend_flags(p_rgp_build)
-    p_rgp_build.set_defaults(handler=cmd_rgp_build)
+    _set_command(p_rgp_build, cmd_rgp_build, _BACKEND_SETTINGS + ("judge", "seed", "max_tokens"))
     p_rgp_aug = rgp_sub.add_parser("augment", help="expand instances into DPO pairs")
     p_rgp_aug.add_argument("--in", dest="in_path", required=True)
-    p_rgp_aug.add_argument("--k", type=int)
-    p_rgp_aug.add_argument(
-        "--similarity", choices=(augment_mod.SIM_EMBEDDING, augment_mod.SIM_LEXICAL)
-    )
-    p_rgp_aug.add_argument("--seed", type=int)
-    p_rgp_aug.add_argument(
-        "--endpoint", dest="endpoint_url", help="embedding endpoint (similarity=embedding)"
-    )
     p_rgp_aug.add_argument("--out", required=True)
-    p_rgp_aug.set_defaults(handler=cmd_rgp_augment)
+    _set_command(
+        p_rgp_aug, cmd_rgp_augment, ("k", "similarity", "seed", "endpoint_url", "api_key_env", "model_name")
+    )
 
     p_dpo = sub.add_parser("dpo", help="preference-loss and export commands")
     dpo_sub = p_dpo.add_subparsers(dest="subcommand", required=True)
     p_export = dpo_sub.add_parser("export", help="validate and re-emit a pair file")
     p_export.add_argument("--in", dest="in_path", required=True)
     p_export.add_argument("--out", required=True)
-    p_export.set_defaults(handler=cmd_dpo_export)
+    _set_command(p_export, cmd_dpo_export)
     p_loss = dpo_sub.add_parser("loss", help="forward loss over a log-prob file")
     p_loss.add_argument("--in", dest="in_path", required=True)
-    p_loss.add_argument("--beta", type=float)
     p_loss.add_argument("--out")
-    p_loss.set_defaults(handler=cmd_dpo_loss)
+    _set_command(p_loss, cmd_dpo_loss, ("beta",))
 
     p_eval = sub.add_parser("eval", help="score a results file against a QA set")
     p_eval.add_argument("--pred", required=True)
     p_eval.add_argument("--qa", required=True)
     p_eval.add_argument("--out")
-    p_eval.set_defaults(handler=cmd_eval)
+    _set_command(p_eval, cmd_eval)
 
     p_errors = sub.add_parser("errors", help="error analysis commands")
     errors_sub = p_errors.add_subparsers(dest="subcommand", required=True)
@@ -438,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_classify.add_argument("--pred", required=True)
     p_classify.add_argument("--qa", required=True)
     p_classify.add_argument("--out")
-    p_classify.set_defaults(handler=cmd_errors_classify)
+    _set_command(p_classify, cmd_errors_classify)
 
     return parser
 

@@ -189,28 +189,28 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
-    """Write one JSON object per line; returns the number of rows written."""
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, ensure_ascii=False) + "\n")
-            n += 1
-    return n
+    """Write one JSON object per line, whole or not at all (`write_atomic`);
+    returns the number of rows written."""
+    return write_atomic(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
 
 
-def write_atomic(path: str | Path, text: str) -> None:
-    """Write text to a temporary sibling, then rename it over `path`, so a
-    crash mid-write leaves no file at `path` rather than part of the text.
-    The file gets the same permissions a plain write would give it."""
+def write_atomic(path: str | Path, lines: Iterable[str]) -> int:
+    """Write the lines to a temporary sibling, then rename it over `path`, so
+    a crash mid-write leaves no file at `path` rather than part of the text,
+    and a file already there as it was. The file gets the same permissions a
+    plain write would give it. Returns the number of lines written."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    n = 0
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
-            fh.write(text)
+            for n, line in enumerate(lines, start=1):
+                fh.write(line)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return n
 
 
 def read_records(path: str | Path, parse: Callable[[dict], T]) -> list[T]:

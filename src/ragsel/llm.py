@@ -344,6 +344,6 @@ class CachedBackend:
         if path.exists():
             return path.read_text(encoding="utf-8")
         text = self.inner.complete(request)
-        write_atomic(path, text)
+        write_atomic(path, [text])
         return text
 

@@ -66,5 +66,5 @@ def write_manifest(
         created_at=datetime.now(timezone.utc).isoformat(),
     )
     path = manifest_path_for(out_target)
-    write_atomic(path, json.dumps(manifest.to_dict(), indent=2, ensure_ascii=False))
+    write_atomic(path, [json.dumps(manifest.to_dict(), indent=2, ensure_ascii=False)])
     return path

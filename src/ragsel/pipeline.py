@@ -187,9 +187,12 @@ class PromptSet:
 
     @classmethod
     def default(cls, shots: int = 0, fewshot_path: str | Path | None = None) -> "PromptSet":
-        """The shipped templates; shots=3 loads the packaged exemplars unless a path is given."""
+        """The shipped templates; shots=3 loads the packaged exemplars unless a
+        path is given. A path with shots=0 is an error, not ignored."""
         if shots not in (0, 3):
             raise PromptTemplateError("shots must be 0 or 3")
+        if fewshot_path is not None and shots == 0:
+            raise PromptTemplateError("an exemplar file needs shots 3, got shots 0")
         exemplars: list[Exemplar] = []
         if shots == 3:
             if fewshot_path is None:

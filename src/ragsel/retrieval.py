@@ -40,7 +40,7 @@ from .llm import StatusError, TransportError, _post_json
 INDEX_FILE = "index.json"
 INDEX_FORMAT = "ragsel-bm25-index"
 INDEX_VERSION = 2
-INDEX_ARRAYS = ("term_ptr", "rows", "tfs", "doc_len")
+INDEX_ARRAYS = {"term_ptr": np.int64, "rows": np.int32, "tfs": np.int32, "doc_len": np.int32}  # name -> dtype
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -252,22 +252,37 @@ class Bm25Index:
                 f"(this release reads version {INDEX_VERSION}){rebuild}"
             )
         arrays = []
-        for file in index_files(index_dir)[1:]:
+        for file, dtype in zip(index_files(index_dir)[1:], INDEX_ARRAYS.values()):
             if not file.exists():
                 raise IndexFormatError(f"{index_dir} is missing {file.name}{rebuild}")
             try:
-                arrays.append(np.load(file, allow_pickle=False))
+                array = np.load(file, allow_pickle=False)
             except (ValueError, EOFError) as exc:
                 raise IndexFormatError(f"{file} is not a readable array ({exc}){rebuild}") from exc
+            if array.ndim != 1 or array.dtype != dtype:
+                raise IndexFormatError(f"{file} is not a 1-D {np.dtype(dtype)} array{rebuild}")
+            arrays.append(array)
         term_ptr, rows, tfs, lengths = arrays
         try:
             k1, b, ids, terms = (header[key] for key in ("k1", "b", "ids", "terms"))
+            RetrievalConfig(k1, b)
         except KeyError as exc:
             raise IndexFormatError(f"{path} lacks the field {exc}{rebuild}") from exc
+        except (TypeError, ValueError) as exc:  # TypeError: a k1 or b that is not a number
+            raise IndexFormatError(f"{path} holds a bad k1 or b ({exc}){rebuild}") from exc
+        if not (_all_str(ids) and _all_str(terms)):
+            raise IndexFormatError(f"{path} holds ids or terms that are not lists of strings{rebuild}")
+        corpus_path = header.get("corpus_path")
+        if not isinstance(corpus_path, (str, type(None))):
+            raise IndexFormatError(f"{path} holds a corpus_path that is not a string{rebuild}")
         if not (len(term_ptr) == len(terms) + 1 and len(rows) == len(tfs) == term_ptr[-1]
                 and len(lengths) == len(ids)):
             raise IndexFormatError(f"{index_dir} holds arrays of inconsistent sizes{rebuild}")
-        return cls(k1, b, ids, Postings(terms, term_ptr, rows, tfs, lengths), header.get("corpus_path"))
+        return cls(k1, b, ids, Postings(terms, term_ptr, rows, tfs, lengths), corpus_path)
+
+
+def _all_str(values: object) -> bool:
+    return type(values) is list and set(map(type, values)) <= {str}
 
 
 def index_files(index_dir: str | Path) -> list[Path]:

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ragsel.cli import main
+from ragsel.cli import _SETTINGS, main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -86,6 +86,24 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["frobnicate"])
         assert excinfo.value.code == 2
+
+    def test_help_shows_each_flag_s_allowed_values_and_default(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["run", "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--shots SHOTS 0 or 3 (default: 0)" in out
+        assert "--top-k TOP_K an integer >= 1 (default: 5)" in out
+        assert "{0,3}" not in out
+
+    def test_readme_configuration_table_matches_the_settings(self):
+        """The README's table lists every key with its flag and default, as `_SETTINGS` declares them."""
+        readme = (ROOT / "README.md").read_text(encoding="utf-8")
+        table = readme.split("### Configuration", 1)[1].split("| --- |", 1)[1].split("\n\n", 1)[0]
+        documented = {}
+        for row in table.strip().splitlines()[1:]:
+            key, flag, default = (cell.strip().strip("`") for cell in row.strip("|").split("|")[:3])
+            documented[key] = (None if flag == "none" else flag, "" if default == "empty" else default)
+        assert documented == {key: (s.flag, str(s.default)) for key, s in _SETTINGS.items()}
 
     def test_runtime_failure_exits_one_with_json_error(self, tmp_path, capsys):
         code = main(["corpus", "ingest", "--passages", str(tmp_path / "nope.jsonl"), "--out", str(tmp_path / "c")])
@@ -217,23 +235,45 @@ def test_malformed_fewshot_file_exits_one_with_json_error(tmp_path, capsys, fews
     assert not out.exists()
 
 
+def _cut(path):
+    path.write_bytes(path.read_bytes()[:-5])
+
+
+def test_fewshot_file_without_three_shots_exits_one(tmp_path, capsys):
+    """An exemplar file at shots 0 was once ignored, yet digested in the manifest."""
+    _passages_path, qa_path, script_path = _desk_inputs(tmp_path)
+    path, out = tmp_path / "fewshot.json", tmp_path / "out.jsonl"
+    path.write_text("not json")
+    argv = ["run", "--mode", "llm-only", "--qa", str(qa_path), "--script", str(script_path)]
+    assert main(argv + ["--fewshot", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert json.loads(err.strip().splitlines()[-1]) == {
+        "error": "PromptTemplateError", "message": "an exemplar file needs shots 3, got shots 0"
+    }
+    assert not out.exists()
+    assert not (tmp_path / "out.jsonl.manifest.json").exists()
+
+
 @pytest.mark.parametrize(
-    "cut, argv, error, hint",
+    "damage, argv, error, hint",
     [
-        ("index/index.json", "retrieve --index {t}/index --query marker1",
+        (lambda t: _cut(t / "index/index.json"), "retrieve --index {t}/index --query marker1",
          "IndexFormatError", "rebuild it with `ragsel index build`"),
-        ("corpus/offsets.json", "run --mode self-select --qa {t}/qa.jsonl --index {t}/index "
+        (lambda t: _cut(t / "corpus/offsets.json"), "run --mode self-select --qa {t}/qa.jsonl --index {t}/index "
          "--script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
+        (lambda t: np.save(t / "index/rows.npy", np.load(t / "index/rows.npy").astype(np.float64)),
+         "retrieve --index {t}/index --query marker1", "IndexFormatError", "rebuild it with `ragsel index build`"),
     ],
-    ids=["index-header", "corpus-offsets"],
+    ids=["index-header", "corpus-offsets", "index-rows-float64"],
 )
-def test_truncated_index_or_corpus_file_exits_one_with_json_error(tmp_path, capsys, cut, argv, error, hint):
-    """A crash while writing leaves a cut file; reading it is one error line, not a traceback."""
+def test_truncated_index_or_corpus_file_exits_one_with_json_error(tmp_path, capsys, damage, argv, error, hint):
+    """A crash while writing leaves a cut file, and a foreign tool may save an
+    array of another dtype; reading either is one error line, not a traceback."""
     passages_path, _qa, _script = _desk_inputs(tmp_path)
     assert main(["corpus", "ingest", "--passages", str(passages_path), "--out", str(tmp_path / "corpus")]) == 0
     assert main(["index", "build", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "index")]) == 0
-    damaged = tmp_path / cut
-    damaged.write_bytes(damaged.read_bytes()[:-5])
+    damage(tmp_path)
     capsys.readouterr()
     assert main(argv.format(t=tmp_path).split()) == 1
     captured = capsys.readouterr()
@@ -506,6 +546,22 @@ class TestHttpBackendThroughCli:
         rows = [json.loads(line) for line in out_a.read_text().splitlines()]
         assert rows[0]["final_answer"] == "stub marker1"
 
+    def test_manifest_names_the_token_variable_but_never_holds_the_token(
+        self, tmp_path, http_stub, capsys, monkeypatch
+    ):
+        http_stub.enqueue(200, {"choices": [{"message": {"content": "Explanation: e. Answer: a"}}]})
+        _passages, qa_path, _script = _desk_inputs(tmp_path)
+        monkeypatch.setenv("RAGSEL_TEST_TOKEN", "tok-7f3a9c")
+        monkeypatch.setenv("SELECTOR_RAG_API_KEY_ENV", "RAGSEL_TEST_TOKEN")
+        out = tmp_path / "r.jsonl"
+        argv = ["run", "--mode", "llm-only", "--qa", str(qa_path), "--endpoint", http_stub.url, "--out", str(out)]
+        assert main(argv) == 0
+        assert http_stub.headers[0]["authorization"] == "Bearer tok-7f3a9c"
+        text = (tmp_path / "r.jsonl.manifest.json").read_text()
+        config = json.loads(text)["config"]
+        assert (config["api_key_env"], config["endpoint_url"]) == ("RAGSEL_TEST_TOKEN", http_stub.url)
+        assert "tok-7f3a9c" not in text
+
     def test_run_with_three_shots(self, tmp_path, capsys):
         passages_path, qa_path, script_path = _desk_inputs(tmp_path)
         out = tmp_path / "fewshot.jsonl"
@@ -617,6 +673,7 @@ _PIN_CHAIN = [
 ]
 _INDEX_FILES = ["doc_len.npy", "index.json", "rows.npy", "term_ptr.npy", "tfs.npy"]
 _CORPUS_FILES = ["offsets.json", "passages.jsonl", "stats.json"]
+_BACKEND_CONFIG = {"endpoint_url": "", "api_key_env": "", "model_name": "default", "max_retries": 3, "max_in_flight": 4}
 # name -> (stdout JSON keys, or eval's rendered line; manifest config; seeds;
 # basenames of the digested inputs)
 _PINS = {
@@ -624,18 +681,22 @@ _PINS = {
     "index build": (["out", "passages", "terms"], {"k1": 1.5, "b": 0.75}, {}, sorted(_CORPUS_FILES + ["ragsel.conf"])),
     "run": (
         ["audit", "out", "records"],
-        {"top_k": 3, "shots": 0, "budget": 0, "max_tokens": 512},
+        {**_BACKEND_CONFIG, "top_k": 3, "shots": 0, "seed": 7, "budget": 0, "max_tokens": 512},
         {"order_seed": 7},
         sorted(_INDEX_FILES + _CORPUS_FILES + ["qa.jsonl", "ragsel.conf", "script.jsonl"]),
     ),
     "rgp build": (
         ["instances", "out", "report"],
-        {"judge": "lexical", "max_tokens": 512},
+        {**_BACKEND_CONFIG, "judge": "lexical", "seed": 3, "max_tokens": 512},
         {"seed": 3},
         sorted(_INDEX_FILES + _CORPUS_FILES + ["qa.jsonl", "ragsel.conf", "script.jsonl"]),
     ),
-    "rgp augment": (["out", "pairs", "report"], {"k": 1, "similarity": "lexical"}, {"order_seed": 5},
-                    ["inst.jsonl", "ragsel.conf"]),
+    "rgp augment": (
+        ["out", "pairs", "report"],
+        {"k": 1, "similarity": "lexical", "seed": 5, "endpoint_url": "", "api_key_env": "", "model_name": "default"},
+        {"order_seed": 5},
+        ["inst.jsonl", "ragsel.conf"],
+    ),
     "dpo export": (["by_origin", "path", "total"], {}, {}, ["pairs.jsonl", "ragsel.conf"]),
     "dpo loss": (["beta", "mean_loss", "n"], {"beta": 0.1}, {}, ["lp.jsonl", "ragsel.conf"]),
     "eval": ("EM 100.0 | F1 100.0 | Acc 100.0 (n=4)", {}, {}, ["qa.jsonl", "r.jsonl", "ragsel.conf"]),
@@ -681,6 +742,7 @@ _BAD_SETTINGS = {
     "retrieve-flag-top-k-0": ("retrieve --index {t}/index --query marker1 --top-k 0", {}, None, "top_k"),
     "retrieve-env-top-k-abc": ("retrieve --index {t}/index --query marker1", {"TOP_K": "abc"}, None, "top_k"),
     "retrieve-config-top-k-x": ("retrieve --index {t}/index --query marker1", {}, "top_k = x", "top_k"),
+    "retrieve-flag-top-k-abc": ("retrieve --index {t}/index --query marker1 --top-k abc", {}, None, "top_k"),
     "dpo-loss-flag-beta-0": ("dpo loss --in {t}/lp.jsonl --beta 0 --out {o}", {}, None, "beta"),
     "dpo-loss-env-beta-nan": ("dpo loss --in {t}/lp.jsonl --out {o}", {"BETA": "nan"}, None, "beta"),
     "index-build-flag-k1-0": ("index build --corpus {t}/corpus --out {o} --k1 0", {}, None, "k1"),
@@ -699,6 +761,9 @@ _BAD_SETTINGS = {
         "run --mode llm-only --qa {t}/qa.jsonl --script {t}/script.jsonl --out {o}",
         {"SHOTS": "2"}, None, "shots",
     ),
+    "run-flag-shots-2": (
+        "run --mode llm-only --qa {t}/qa.jsonl --script {t}/script.jsonl --shots 2 --out {o}", {}, None, "shots",
+    ),
     "run-flag-budget-negative": (
         "run --mode llm-only --qa {t}/qa.jsonl --script {t}/script.jsonl --budget -1 --out {o}",
         {}, None, "budget",
@@ -713,6 +778,9 @@ _BAD_SETTINGS = {
     ),
     "rgp-augment-config-similarity": (
         "rgp augment --in {t}/lp.jsonl --out {o}", {}, "similarity = dense", "similarity",
+    ),
+    "rgp-augment-flag-similarity": (
+        "rgp augment --in {t}/lp.jsonl --similarity foo --out {o}", {}, None, "similarity",
     ),
     "rgp-augment-flag-k-negative": ("rgp augment --in {t}/lp.jsonl --k -1 --out {o}", {}, None, "k"),
     # Every key is checked for every command, also one the command never reads.

@@ -371,3 +371,19 @@ class TestRunDataset:
         save_records(records, path)
         loaded = load_records(path)
         assert [r.to_dict() for r in loaded] == [r.to_dict() for r in records]
+
+    def test_save_failing_partway_leaves_no_file_and_an_existing_one_as_it_was(self, tmp_path, disk_full_on_write):
+        corpus, index, qa, backend = _desk_fixture(tmp_path)
+        records = run_dataset(
+            MODE_SELF_SELECT, qa, backend, PromptSet.default(), index=index, corpus=corpus
+        )
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(OSError, match="No space left"):
+            save_records(records, out / "records.jsonl")
+        assert list(out.iterdir()) == []
+        (out / "records.jsonl").write_bytes(b'{"earlier": "run"}\n')
+        with pytest.raises(OSError, match="No space left"):
+            save_records(records, out / "records.jsonl")
+        assert [p.name for p in out.iterdir()] == ["records.jsonl"]
+        assert (out / "records.jsonl").read_bytes() == b'{"earlier": "run"}\n'

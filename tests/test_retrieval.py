@@ -65,6 +65,11 @@ def scores_by_id(index, query):
     return dict(index.retrieve(query, index.N).hits)
 
 
+def _edit_header(index_dir, **fields):
+    path = index_dir / "index.json"
+    path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
+
+
 def brute_force_rank(docs, query, k1, b, top_k):
     scores = brute_force_bm25(docs, tokenize(query), k1, b)
     ranked = sorted(((p, s) for p, s in scores.items() if s > 0), key=lambda x: (-x[1], x[0]))
@@ -215,8 +220,15 @@ class TestBm25:
             ),
             lambda idx: (idx / "rows.npy").write_bytes(b"junk\n"),
             lambda idx: (idx / "rows.npy").write_bytes((idx / "rows.npy").read_bytes()[:-3]),
+            lambda idx: _edit_header(idx, k1="x"),
+            lambda idx: _edit_header(idx, ids="012"),  # as long as the three ids, so sizes agree
+            lambda idx: np.save(idx / "rows.npy", np.load(idx / "rows.npy").astype(np.float64)),
+            lambda idx: _edit_header(idx, corpus_path=5),
         ],
-        ids=["header-cut", "header-without-ids", "rows-junk", "rows-cut"],
+        ids=[
+            "header-cut", "header-without-ids", "rows-junk", "rows-cut", "k1-text", "ids-not-list", "rows-float64",
+            "corpus-path-int",
+        ],
     )
     def test_load_refuses_an_undecodable_file(self, tiny_corpus, tmp_path, damage):
         build_index(tiny_corpus).save(tmp_path / "idx")
