@@ -2,10 +2,11 @@
 find the K most similar other queries and adopt both of their responses as
 extra negatives, giving up to 2K+1 training pairs per instance.
 
-Each pair renders the same selection prompt used at inference, with the
-chosen and rejected responses embedded verbatim in a per-pair random order.
-A mined negative whose answer normalizes equal to the instance's positive is
-dropped rather than kept as a self-contradictory pair.
+Each pair renders the selection prompt used at inference
+(pipeline.select_prompt), with the chosen and rejected responses as its two
+candidates in a per-pair random order. A mined negative whose answer
+normalizes equal to the instance's positive is dropped rather than kept as a
+self-contradictory pair.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .data import Record, stable_hash_int
 from .errors import RagselError
 from .evaluation import normalize
-from .pipeline import fill_template, load_template, render_response
+from .pipeline import render_response, select_prompt
 from .retrieval import EmbeddingClient, Postings, tokenize, top_k_positions
 from .rgp import PreferenceInstance, Response
 
@@ -174,7 +175,6 @@ def expand(
     pair's presentation order is an independent coin from order_seed, and the
     prompt embeds chosen and rejected verbatim in that order.
     """
-    template = load_template("select")
     positive_text = render_response(instance.positive.answer, instance.positive.explanation)
     positive_norm = normalize(instance.positive.answer)
     rng = random.Random(order_seed)
@@ -187,12 +187,9 @@ def expand(
         first, second = (
             (positive_text, negative_text) if chosen_first else (negative_text, positive_text)
         )
-        prompt = fill_template(
-            template, question=instance.query, candidate_1=first, candidate_2=second
-        )
         pairs.append(
             DpoPair(
-                prompt=prompt,
+                prompt=select_prompt(instance.query, first, second),
                 chosen=positive_text,
                 rejected=negative_text,
                 order=ORDER_CHOSEN_FIRST if chosen_first else ORDER_REJECTED_FIRST,

@@ -8,8 +8,9 @@ prefix (e.g. SELECTOR_RAG_TOP_K=3). `_SETTINGS` declares each setting once:
 its default, its one check and its flag, if it has one. Every value, from a
 flag, the config file or the environment alike, is checked by its row, for
 every command whether it reads the key or not, and set on `args` under its
-key. Each subcommand names the settings it reads once (`_set_command`);
-those get their flags, and the manifest records them all. Secrets never
+key; a config-file key with no row is refused. Each subcommand names the
+settings it reads once (`_set_command`); those get their flags, and the
+manifest records them all. Secrets never
 appear in manifests: config names the environment variable holding the
 token, not the token itself, and the endpoint URL must not carry one.
 
@@ -124,7 +125,10 @@ def _resolve_settings(args: argparse.Namespace) -> None:
             if not line or line.startswith("#") or "=" not in line:
                 continue
             key, _, value = line.partition("=")
-            file_values[key.strip()] = value.strip()
+            key, value = key.strip(), value.strip()
+            if key not in _SETTINGS:
+                raise SettingError(f"setting {key} = {value!r}: no such setting")
+            file_values[key] = value
     for key, setting in _SETTINGS.items():
         value = file_values.get(key, setting.default)
         if getattr(args, key, None) is not None:

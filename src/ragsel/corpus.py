@@ -92,6 +92,12 @@ class Corpus:
         weakref.finalize(self, os.close, fd)
         self._fd = fd
         self._bounds = [*offsets.values(), os.fstat(fd).st_size]
+        # A file cut short, mid-line or at a line end, shows at its tail.
+        if offsets:
+            last, size = self._bounds[-2:]
+            if not (last < size and os.pread(fd, 1, size - 1) == b"\n"):
+                raise CorpusError(f"{self.root} holds a {PASSAGES_FILE} that ends inside or before its "
+                                  "last passage; ingest the passages again")
 
     @property
     def stats(self) -> CorpusStats:

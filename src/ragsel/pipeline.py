@@ -2,9 +2,12 @@
 grounded in retrieved passages, and a selection step where the model picks
 between them.
 
-Prompts are data, not code: the three templates live as text files with
-{question}, {passages}, {candidate_1}, {candidate_2} placeholders and can be
-swapped without touching this module. Model output is expected in the shape
+Prompts are data, not code: the three templates live as packaged text files
+with {question}, {passages}, {candidate_1}, {candidate_2} placeholders. A
+PromptSet adds only the few-shot exemplars the two answer prompts open with.
+The selection prompt is zero-shot, and select_prompt renders it for both
+inference (select) and pair expansion (augment.expand), so the selector is
+trained on the prompt it answers. Model output is expected in the shape
 
     Explanation: <why>
     Answer: <short answer>
@@ -47,7 +50,6 @@ TEMPLATE_DIR = Path(__file__).parent / "templates"
 
 _ANSWER_MARKER = re.compile(r"answer:", re.IGNORECASE)
 _EXPLANATION_MARKER = re.compile(r"explanation:", re.IGNORECASE)
-_PLACEHOLDER_RE = re.compile(r"\{(\w+)\}")
 _EDGE_PUNCT = string.punctuation + string.whitespace
 
 
@@ -128,13 +130,6 @@ class Exemplar(Record):
     answer: str
 
 
-_REQUIRED_PLACEHOLDERS = {
-    "llm_only_template": {"question"},
-    "rag_template": {"question", "passages"},
-    "select_template": {"question", "candidate_1", "candidate_2"},
-}
-
-
 @functools.cache
 def load_template(name: str) -> str:
     """A packaged template, read once per process."""
@@ -168,27 +163,28 @@ def fill_template(template: str, **values: str) -> str:
     return out
 
 
+def select_prompt(question: str, candidate_1: str, candidate_2: str) -> str:
+    """The selection prompt, always zero-shot: the one prompt select sends and
+    every DPO pair embeds."""
+    return fill_template(
+        load_template("select"), question=question, candidate_1=candidate_1, candidate_2=candidate_2
+    )
+
+
 @dataclass
 class PromptSet:
-    llm_only_template: str
-    rag_template: str
-    select_template: str
+    """The exemplars that open the two answer-generation prompts."""
+
     fewshot_examples: list[Exemplar] = field(default_factory=list)
 
     def __post_init__(self):
-        for attr, required in _REQUIRED_PLACEHOLDERS.items():
-            found = set(_PLACEHOLDER_RE.findall(getattr(self, attr)))
-            if found != required:
-                raise PromptTemplateError(
-                    f"{attr} must use exactly the placeholders {sorted(required)}, found {sorted(found)}"
-                )
         if len(self.fewshot_examples) not in (0, 3):
             raise PromptTemplateError("fewshot_examples must hold 0 or 3 exemplars")
 
     @classmethod
     def default(cls, shots: int = 0, fewshot_path: str | Path | None = None) -> "PromptSet":
-        """The shipped templates; shots=3 loads the packaged exemplars unless a
-        path is given. A path with shots=0 is an error, not ignored."""
+        """No exemplars, or with shots=3 the packaged ones unless a path is
+        given. A path with shots=0 is an error, not ignored."""
         if shots not in (0, 3):
             raise PromptTemplateError("shots must be 0 or 3")
         if fewshot_path is not None and shots == 0:
@@ -198,12 +194,7 @@ class PromptSet:
             if fewshot_path is None:
                 fewshot_path = TEMPLATE_DIR / "fewshot_examples.json"
             exemplars = _load_exemplars(fewshot_path)
-        return cls(
-            llm_only_template=load_template("llm_only"),
-            rag_template=load_template("rag"),
-            select_template=load_template("select"),
-            fewshot_examples=exemplars,
-        )
+        return cls(fewshot_examples=exemplars)
 
     def _with_exemplars(self, filled: str) -> str:
         if not self.fewshot_examples:
@@ -215,21 +206,11 @@ class PromptSet:
         return "\n\n".join(blocks) + "\n\n" + filled
 
     def llm_only_prompt(self, question: str) -> str:
-        return self._with_exemplars(fill_template(self.llm_only_template, question=question))
+        return self._with_exemplars(fill_template(load_template("llm_only"), question=question))
 
     def rag_prompt(self, question: str, passages: Sequence[Passage]) -> str:
         return self._with_exemplars(
-            fill_template(self.rag_template, question=question, passages=render_passages(passages))
-        )
-
-    def select_prompt(self, question: str, candidate_1: str, candidate_2: str) -> str:
-        # The selection prompt is always zero-shot; exemplars only shape the
-        # two answer-generation prompts.
-        return fill_template(
-            self.select_template,
-            question=question,
-            candidate_1=candidate_1,
-            candidate_2=candidate_2,
+            fill_template(load_template("rag"), question=question, passages=render_passages(passages))
         )
 
 
@@ -313,32 +294,6 @@ def gen_retrieved_answer(
     return gen_rag_answer(backend, prompts, question, passages, budget=budget, max_tokens=max_tokens)
 
 
-def gen_both_answers(
-    backend: Backend,
-    prompts: PromptSet,
-    question: str,
-    index,
-    corpus,
-    top_k: int,
-    *,
-    memory_first: bool,
-    budget: int | None = None,
-    max_tokens: int = 512,
-) -> tuple[CandidateResponse, tuple[CandidateResponse, list[str]] | None]:
-    """The memory-only candidate and gen_retrieved_answer's result for one
-    question: the candidate stage of both `ragsel run` and `rgp build`. The
-    two requests go out in turn, the memory-only one first when memory_first,
-    and the first to fail raises."""
-    if memory_first:
-        internal = gen_llm_answer(backend, prompts, question, max_tokens=max_tokens)
-    grounded = gen_retrieved_answer(
-        backend, prompts, question, index, corpus, top_k, budget=budget, max_tokens=max_tokens
-    )
-    if not memory_first:
-        internal = gen_llm_answer(backend, prompts, question, max_tokens=max_tokens)
-    return internal, grounded
-
-
 def _map_items(fn: Callable, items: Iterable, backend: Backend) -> Iterator:
     """Yield fn(item) for each item, in input order: a plain loop, or a pool
     made for this call that runs as many items at once as the backend takes
@@ -398,7 +353,8 @@ def select(
     passages_used: Sequence[str] = (),
     max_tokens: int = 512,
 ) -> SelectionRecord:
-    """Ask the model to pick between the two candidates.
+    """Ask the model to pick between the two candidates, through select_prompt
+    (which `prompts` does not shape: its exemplars open only the answer prompts).
 
     Presentation order is a fair coin drawn from order_seed. The reply is
     parsed and mapped back to a candidate by normalized answer match; when it
@@ -407,7 +363,7 @@ def select(
     """
     internal_first = random.Random(order_seed).random() < 0.5
     first, second = (internal, grounded) if internal_first else (grounded, internal)
-    prompt = prompts.select_prompt(
+    prompt = select_prompt(
         question,
         render_response(first.answer, first.explanation),
         render_response(second.answer, second.explanation),
@@ -454,13 +410,13 @@ def run_dataset(
     Items run through _map_items, as many at once as the backend takes
     requests (llm.in_flight_cap). llm_only records carry no grounded
     candidate; standard_rag records carry no internal candidate and the final
-    answer is the grounded one, from gen_retrieved_answer. self_select takes
-    both candidates from gen_both_answers, as rgp.generate_candidates does,
-    and then asks the model to pick. When retrieval finds nothing, the grounded
-    slot falls back to the memory-only answer (in self_select, the internal
-    candidate itself, with no second call) and passages_used stays empty.
-    Per-item failures land in the record's error field and never abort the
-    batch.
+    answer is the grounded one, from gen_retrieved_answer. self_select asks
+    for the grounded candidate first and the memory-only one second (the
+    reverse of rgp.generate_candidates), then asks the model to pick. When
+    retrieval finds nothing, the grounded slot falls back to the memory-only
+    answer (in self_select, the internal candidate itself, with no second
+    call) and passages_used stays empty. Per-item failures land in the
+    record's error field and never abort the batch.
     """
     if mode not in MODES:
         raise PipelineError(f"unknown mode {mode!r}")
@@ -497,10 +453,11 @@ def run_dataset(
                     presentation_order=ORDER_RETRIEVAL_FIRST,
                     passages_used=used,
                 )
-            internal, retrieved = gen_both_answers(
+            retrieved = gen_retrieved_answer(
                 backend, prompts, qa.question, index, corpus, top_k,
-                memory_first=False, budget=budget, max_tokens=max_tokens,
+                budget=budget, max_tokens=max_tokens,
             )
+            internal = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)
             grounded, used = retrieved or (internal, [])
             return select(
                 backend,

@@ -349,5 +349,7 @@ class EmbeddingClient:
             raise EmbeddingBackendError(
                 f"embedding endpoint returned {len(vectors)} vectors for {len(texts)} inputs"
             )
+        if len({len(vec) for vec in vectors}) > 1:
+            raise EmbeddingBackendError("embedding endpoint returned vectors of unequal length")
         return [[float(x) for x in vec] for vec in vectors]
 

@@ -4,9 +4,12 @@ answer, and keep only the disagreements, pairing the correct response as
 positive with the incorrect one as negative.
 
 The number of passages fed to the grounded candidate is drawn uniformly from
-1..5 per query, seeded so rebuilds are byte-identical. Judging is either
-lexical (deterministic: normalized equality or containment of a gold) or
-delegated to a model answering Yes/No.
+1..5 per query, seeded so rebuilds are byte-identical. Both candidates come
+from pipeline's gen_llm_answer and gen_retrieved_answer, the memory-only one
+first. Judging is either lexical (deterministic: normalized equality or
+containment of a gold) or delegated to a model answering Yes/No. An item
+whose generation or judging fails is quarantined with its reason, and the
+batch always completes.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ from .pipeline import (
     SOURCE_INTERNAL,
     SOURCE_RETRIEVAL,
     _map_items,
-    gen_both_answers,
+    fill_template,
+    gen_llm_answer,
+    gen_retrieved_answer,
     load_template,
 )
 
@@ -121,8 +126,8 @@ def generate_candidates(
 ) -> CandidateBundle:
     """Produce both candidates for one query.
 
-    Both come from pipeline.gen_both_answers, shared with run_dataset: the
-    memory-only request goes first, and its error wins when both fail.
+    The two requests run_dataset makes for self-selection, in the other
+    order: the memory-only one goes first, and its error wins when both fail.
     rng_seed alone fixes how many passages the grounded candidate sees
     (uniform on 1..5, capped by what retrieval returns). No passages, or a
     generation failure, is recorded on the bundle as its error, which build
@@ -130,9 +135,9 @@ def generate_candidates(
     """
     n_requested = random.Random(rng_seed).randint(1, 5)
     try:
-        internal, retrieved = gen_both_answers(
-            backend, prompts, qa.question, index, corpus, n_requested,
-            memory_first=True, max_tokens=max_tokens,
+        internal = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)
+        retrieved = gen_retrieved_answer(
+            backend, prompts, qa.question, index, corpus, n_requested, max_tokens=max_tokens
         )
     except (GatewayError, RagselError) as exc:
         return CandidateBundle(qa=qa, error=f"{type(exc).__name__}: {exc}")
@@ -164,8 +169,8 @@ def judge(
     if mode == JUDGE_LLM:
         if backend is None:
             raise RgpError("llm judge mode requires a backend")
-        prompt = load_template("judge").replace("{golden}", "; ".join(golden_answers)).replace(
-            "{candidate}", candidate_answer
+        prompt = fill_template(
+            load_template("judge"), golden="; ".join(golden_answers), candidate=candidate_answer
         )
         reply = backend.complete(GenRequest(user_prompt=prompt, max_tokens=8))
         match = _VERDICT_RE.search(reply)
@@ -231,9 +236,10 @@ def build(
     """Map generate (through pipeline._map_items) -> judge -> filter over the
     QA set, judging each bundle in input order as it arrives.
 
-    Per-item failures (generation errors, unparseable judge verdicts) are
-    quarantined with reasons; the batch always completes. The report carries
-    counts for every filter outcome and the positive-source split.
+    Per-item failures (generation errors, judge backend errors, unparseable
+    judge verdicts) are quarantined with reasons; the batch always completes.
+    The report carries counts for every filter outcome and the positive-source
+    split.
     """
     report = BuildReport(total=len(qa_set), judge_tag=judge_mode)
     instances: list[PreferenceInstance] = []
@@ -254,9 +260,10 @@ def build(
                 judge(cand.answer, qa.golden_answers, mode=judge_mode, backend=judge_backend)
                 for cand in (bundle.internal, bundle.grounded)
             )
-        except JudgeError as exc:
+        except (JudgeError, GatewayError) as exc:
+            reason = exc if isinstance(exc, JudgeError) else f"{type(exc).__name__}: {exc}"
             report.quarantined += 1
-            report.quarantine_reasons.append(f"{qa.id}: {exc}")
+            report.quarantine_reasons.append(f"{qa.id}: {reason}")
             continue
         judgment = Judgment(internal_correct, grounded_correct, judge_mode)
         instance = filter_instance(bundle, judgment)

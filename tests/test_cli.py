@@ -239,6 +239,10 @@ def _cut(path):
     path.write_bytes(path.read_bytes()[:-5])
 
 
+def _drop_last_line(path):
+    path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-1]))
+
+
 def test_fewshot_file_without_three_shots_exits_one(tmp_path, capsys):
     """An exemplar file at shots 0 was once ignored, yet digested in the manifest."""
     _passages_path, qa_path, script_path = _desk_inputs(tmp_path)
@@ -264,8 +268,13 @@ def test_fewshot_file_without_three_shots_exits_one(tmp_path, capsys):
          "--script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
         (lambda t: np.save(t / "index/rows.npy", np.load(t / "index/rows.npy").astype(np.float64)),
          "retrieve --index {t}/index --query marker1", "IndexFormatError", "rebuild it with `ragsel index build`"),
+        (lambda t: _cut(t / "corpus/passages.jsonl"), "run --mode self-select --qa {t}/qa.jsonl --index {t}/index "
+         "--script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
+        (lambda t: _drop_last_line(t / "corpus/passages.jsonl"), "run --mode standard-rag --qa {t}/qa.jsonl "
+         "--index {t}/index --script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
     ],
-    ids=["index-header", "corpus-offsets", "index-rows-float64"],
+    ids=["index-header", "corpus-offsets", "index-rows-float64", "corpus-passages-cut-mid-line",
+         "corpus-passages-cut-at-line-end"],
 )
 def test_truncated_index_or_corpus_file_exits_one_with_json_error(tmp_path, capsys, damage, argv, error, hint):
     """A crash while writing leaves a cut file, and a foreign tool may save an
@@ -788,6 +797,8 @@ _BAD_SETTINGS = {
     "eval-config-k1-abc": (
         "eval --pred {t}/qa.jsonl --qa {t}/qa.jsonl --out {o}", {}, "k1 = abc", "k1",
     ),
+    # A key the table does not know (the flag's spelling here) is refused, not ignored.
+    "retrieve-config-unknown-key": ("retrieve --index {t}/index --query marker1", {}, "top-k = 1", "top-k"),
 }
 
 
@@ -862,6 +873,29 @@ def test_rgp_build_where_every_item_is_quarantined_exits_one(tmp_path, http_stub
     )
     report = json.loads(captured.out.strip().splitlines()[-1])["report"]
     assert (report["total"], report["quarantined"]) == (4, 4)
+    assert out.read_text() == ""
+    assert (tmp_path / "instances.jsonl.manifest.json").exists()
+
+
+def test_rgp_build_where_the_llm_judge_fails_on_every_item_exits_one(tmp_path, capsys):
+    passages_path, qa_path, script_path = _desk_inputs(tmp_path)
+    rows = [json.loads(line) for line in script_path.read_text().splitlines()]
+    _write_jsonl(script_path, [r for r in rows if not r["match_key"].startswith("candidate answer")])
+    corpus_dir, index_dir = tmp_path / "corpus", tmp_path / "index"
+    assert main(["corpus", "ingest", "--passages", str(passages_path), "--out", str(corpus_dir)]) == 0
+    assert main(["index", "build", "--corpus", str(corpus_dir), "--out", str(index_dir)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "instances.jsonl"
+    argv = ["rgp", "build", "--qa", str(qa_path), "--index", str(index_dir), "--script", str(script_path),
+            "--judge", "llm", "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    err = json.loads(captured.err.strip().splitlines()[-1])
+    assert err["error"] == "AllRecordsFailedError"
+    assert err["message"].startswith("all 4 items were quarantined; the first: q1: ScriptMissError: ")
+    report = json.loads(captured.out.strip().splitlines()[-1])["report"]
+    assert (report["total"], report["quarantined"], report["judge_tag"]) == (4, 4, "llm")
     assert out.read_text() == ""
     assert (tmp_path / "instances.jsonl.manifest.json").exists()
 

@@ -65,8 +65,14 @@ def test_get_missing_id(tmp_path):
 
 @pytest.mark.parametrize(
     "name, content",
-    [("offsets.json", '{"p1": 0, "p2'), ("stats.json", '{"passage_count'), ("stats.json", "{}")],
-    ids=["offsets-cut", "stats-cut", "stats-without-counts"],
+    [
+        ("offsets.json", '{"p1": 0, "p2'),
+        ("stats.json", '{"passage_count'),
+        ("stats.json", "{}"),
+        ("passages.jsonl", '{"id": "p1", "title": "", "text": "apple pie"}\n{"id": "p2", "ti'),
+        ("passages.jsonl", '{"id": "p1", "title": "", "text": "apple pie"}\n'),
+    ],
+    ids=["offsets-cut", "stats-cut", "stats-without-counts", "passages-cut-mid-line", "passages-cut-at-line-end"],
 )
 def test_open_refuses_an_undecodable_file(tmp_path, name, content):
     ingest([{"id": "p1", "text": "apple pie"}, {"id": "p2", "text": "tart"}], tmp_path / "c")

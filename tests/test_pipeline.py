@@ -1,10 +1,12 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_corpus
+from ragsel.augment import ORDER_CHOSEN_FIRST, expand
 from ragsel.corpus import Passage
 from ragsel.data import QAPair
 from ragsel.llm import ScriptedBackend
@@ -25,14 +27,17 @@ from ragsel.pipeline import (
     gen_llm_answer,
     gen_rag_answer,
     load_records,
+    load_template,
     parse_response,
     render_passages,
     render_response,
     run_dataset,
     save_records,
     select,
+    select_prompt,
 )
 from ragsel.retrieval import build_index
+from ragsel.rgp import PreferenceInstance, Response
 
 
 class TestParseResponse:
@@ -85,32 +90,25 @@ class TestRenderParseIdentity:
 class TestPromptSet:
     def test_default_templates_load(self):
         prompts = PromptSet.default()
-        assert "{question}" in prompts.llm_only_template
+        assert prompts.llm_only_prompt("q?") == load_template("llm_only").replace("{question}", "q?")
         assert prompts.fewshot_examples == []
 
     def test_placeholder_validation(self):
-        with pytest.raises(PromptTemplateError):
-            PromptSet(
-                llm_only_template="no placeholder at all",
-                rag_template="{question} {passages}",
-                select_template="{question} {candidate_1} {candidate_2}",
-            )
-        with pytest.raises(PromptTemplateError):
-            PromptSet(
-                llm_only_template="{question} {extra}",
-                rag_template="{question} {passages}",
-                select_template="{question} {candidate_1} {candidate_2}",
-            )
+        # Each packaged template uses exactly the placeholders its callers fill.
+        found = {
+            name: set(re.findall(r"\{(\w+)\}", load_template(name)))
+            for name in ("llm_only", "rag", "select", "judge")
+        }
+        assert found == {
+            "llm_only": {"question"},
+            "rag": {"question", "passages"},
+            "select": {"question", "candidate_1", "candidate_2"},
+            "judge": {"golden", "candidate"},
+        }
 
     def test_fewshot_must_be_zero_or_three(self):
-        prompts = PromptSet.default()
         with pytest.raises(PromptTemplateError):
-            PromptSet(
-                llm_only_template=prompts.llm_only_template,
-                rag_template=prompts.rag_template,
-                select_template=prompts.select_template,
-                fewshot_examples=[None],  # length 1
-            )
+            PromptSet(fewshot_examples=[None])  # length 1
 
     def test_fewshot_prompt_carries_three_blocks(self):
         prompts = PromptSet.default(shots=3)
@@ -123,7 +121,7 @@ class TestPromptSet:
     def test_fewshot_applies_to_rag_prompt_but_not_selection(self):
         prompts = PromptSet.default(shots=3)
         rag = prompts.rag_prompt("q?", _passages(2))
-        selectp = prompts.select_prompt("q?", "cand one", "cand two")
+        selectp = select_prompt("q?", "cand one", "cand two")
         for exemplar in prompts.fewshot_examples:
             assert exemplar.question in rag
             assert exemplar.question not in selectp
@@ -268,6 +266,41 @@ class TestSelect:
     def test_presentation_order_is_uniformish(self):
         flips = [random.Random(seed).random() < 0.5 for seed in range(200)]
         assert 0.35 < sum(flips) / len(flips) < 0.65
+
+
+class TestOneSelectionPrompt:
+    def test_select_and_expand_send_select_prompt_of_their_ordered_candidates(self):
+        internal, grounded = _candidate_pair()
+        sent = []
+
+        class Spy:
+            tag = "spy"
+
+            def complete(self, request):
+                sent.append(request.user_prompt)
+                return "Answer: New tab"
+
+        for seed in range(8):
+            record = select(Spy(), PromptSet.default(shots=3), "q?", internal, grounded, seed)
+            first, second = (
+                (internal, grounded) if record.presentation_order == ORDER_INTERNAL_FIRST else (grounded, internal)
+            )
+            assert sent.pop() == select_prompt(
+                "q?", render_response(first.answer, first.explanation), render_response(second.answer, second.explanation)
+            )
+
+        instance = PreferenceInstance(
+            query_id="q1", query="who?", golden="good",
+            positive=Response(answer="good", explanation="right"),
+            negative=Response(answer="bad", explanation="wrong"),
+            positive_source=SOURCE_INTERNAL, n_passages=1, judge_tag="lexical",
+        )
+        for seed in range(8):
+            (pair,) = expand(instance, None, {"q1": instance}, order_seed=seed)
+            first, second = (
+                (pair.chosen, pair.rejected) if pair.order == ORDER_CHOSEN_FIRST else (pair.rejected, pair.chosen)
+            )
+            assert pair.prompt == select_prompt("who?", first, second)
 
 
 def _desk_fixture(tmp_path):

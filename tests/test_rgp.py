@@ -226,6 +226,19 @@ class TestBuild:
         assert report.quarantined == 1
         assert "verdict" in report.quarantine_reasons[0]
 
+    def test_judge_backend_failure_is_quarantined(self, tmp_path):
+        corpus, index, qa = _fixture(tmp_path, n=3)
+        backend = _script(3, internal_right={1}, grounded_right={2})
+        judge_backend = ScriptedBackend({"nothing matches": "Yes"})
+        instances, report = build(
+            qa, index, corpus, backend, PromptSet.default(), judge_mode="llm", judge_backend=judge_backend
+        )
+        assert instances == []
+        assert report.quarantined == report.total == 3
+        assert [r.split(": ")[:2] for r in report.quarantine_reasons] == [
+            ["q1", "ScriptMissError"], ["q2", "ScriptMissError"], ["q3", "ScriptMissError"]
+        ]
+
     def test_build_deterministic_files(self, tmp_path):
         corpus, index, qa = _fixture(tmp_path, n=5)
         backend = _script(5, internal_right={1, 4}, grounded_right={2, 4})

@@ -77,6 +77,13 @@ def test_malformed_embedding_payload_is_an_embedding_error(http_stub, body):
     assert http_stub.hits == 1
 
 
+def test_embedding_vectors_of_unequal_length_are_an_embedding_error(http_stub):
+    http_stub.enqueue(200, {"embeddings": [[1.0, 0.0, 5.0], [1.0]]})
+    with pytest.raises(EmbeddingBackendError, match="unequal length"):
+        EmbeddingClient(http_stub.url).embed(["first input", "second input"])
+    assert http_stub.hits == 1
+
+
 def test_chat_reply_that_is_not_json_is_a_status_error(http_stub):
     http_stub.enqueue(200, b"<html>not json</html>")
     with pytest.raises(StatusError, match="not JSON") as excinfo:
