@@ -8,6 +8,7 @@ may open it concurrently.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import shutil
@@ -24,6 +25,7 @@ from .errors import RagselError
 PASSAGES_FILE = "passages.jsonl"
 OFFSETS_FILE = "offsets.json"
 STATS_FILE = "stats.json"
+PASSAGE_CACHE_SIZE = 4096  # decoded passages one handle keeps
 
 
 class CorpusError(RagselError):
@@ -80,6 +82,7 @@ class Corpus:
             raise CorpusError(f"{self.root} is not a corpus directory (missing {OFFSETS_FILE})")
         try:
             offsets: dict[str, int] = json.loads(offsets_path.read_text(encoding="utf-8"))
+            _check_offsets(offsets)
             raw = json.loads((self.root / STATS_FILE).read_text(encoding="utf-8"))
             self._stats = CorpusStats(passage_count=raw["passage_count"], total_tokens=raw["total_tokens"])
         except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and bad UTF-8
@@ -90,14 +93,16 @@ class Corpus:
         self._ordinal = {pid: i for i, pid in enumerate(offsets)}
         fd = os.open(self.root / PASSAGES_FILE, os.O_RDONLY)
         weakref.finalize(self, os.close, fd)
-        self._fd = fd
-        self._bounds = [*offsets.values(), os.fstat(fd).st_size]
+        bounds = [*offsets.values(), os.fstat(fd).st_size]
         # A file cut short, mid-line or at a line end, shows at its tail.
         if offsets:
-            last, size = self._bounds[-2:]
+            last, size = bounds[-2:]
             if not (last < size and os.pread(fd, 1, size - 1) == b"\n"):
                 raise CorpusError(f"{self.root} holds a {PASSAGES_FILE} that ends inside or before its "
                                   "last passage; ingest the passages again")
+        # Bound to the descriptor and bounds, not to self, so the cache holds
+        # no reference back to the handle and a dropped handle closes at once.
+        self._read = functools.lru_cache(maxsize=PASSAGE_CACHE_SIZE)(functools.partial(_read_record, fd, bounds))
 
     @property
     def stats(self) -> CorpusStats:
@@ -110,11 +115,9 @@ class Corpus:
         i = self._ordinal.get(passage_id)
         if i is None:
             raise PassageNotFoundError(passage_id)
-        # pread keeps no file position, so threads may share the descriptor.
-        start, end = self._bounds[i], self._bounds[i + 1]
-        record = json.loads(os.pread(self._fd, end - start, start))
+        title, text = self._read(i)
         # The caller's id (the index's own string), not a decoded copy.
-        return Passage(id=passage_id, title=record.get("title", ""), text=record["text"])
+        return Passage(id=passage_id, title=title, text=text)
 
     def __iter__(self) -> Iterator[Passage]:
         for _line_no, record in read_jsonl(self.root / PASSAGES_FILE):
@@ -123,6 +126,25 @@ class Corpus:
     def input_files(self) -> list[Path]:
         """The files a run reads when it opens this corpus (for manifests)."""
         return [self.root / name for name in (PASSAGES_FILE, OFFSETS_FILE, STATS_FILE)]
+
+
+def _check_offsets(offsets) -> None:
+    """offsets.json maps each id to the byte offset of its line, ascending in file order."""
+    if not isinstance(offsets, dict):
+        raise ValueError(f"{OFFSETS_FILE} is not a JSON object")
+    previous = -1
+    for pid, start in offsets.items():
+        if type(start) is not int or start <= previous:
+            raise ValueError(f"passage {pid!r} has offset {start!r}, not an int above {previous}")
+        previous = start
+
+
+def _read_record(fd: int, bounds: list[int], i: int) -> tuple[str, str]:
+    """The (title, text) of record i."""
+    # pread keeps no file position, so threads may share the descriptor.
+    start, end = bounds[i], bounds[i + 1]
+    record = json.loads(os.pread(fd, end - start, start))
+    return record.get("title", ""), record["text"]
 
 
 def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:

@@ -108,25 +108,25 @@ class ExportSummary(Record):
     path: str
 
 
-def _slots(template: str, first: str, second: str) -> str:
-    """The stretch of a rendered selection prompt from the first candidate
-    slot through the second, filled with `first` and `second`."""
+def _slot_stretch(template: str) -> str:
+    """The stretch of the selection template from its first candidate slot
+    through its second."""
     start, end = sorted((template.index("{candidate_1}"), template.index("{candidate_2}")))
-    return fill_template(template[start : end + len("{candidate_2}")], candidate_1=first, candidate_2=second)
+    return template[start : end + len("{candidate_2}")]
 
 
-def _validate_pair(pair: DpoPair, ordinal: int, template: str) -> None:
+def _validate_pair(pair: DpoPair, ordinal: int, stretch: str) -> None:
     label = f"pair {ordinal} (queries {pair.source_query_ids})"
     if normalize(pair.chosen) == normalize(pair.rejected):
         raise DpoError(f"{label}: chosen and rejected normalize to the same text")
     if pair.order not in ("chosen_first", "rejected_first"):
         raise DpoError(f"{label}: unknown order {pair.order!r}")
-    chosen_first = _slots(template, pair.chosen, pair.rejected) in pair.prompt
-    rejected_first = _slots(template, pair.rejected, pair.chosen) in pair.prompt
-    if not (chosen_first or rejected_first):
+    first, second = (pair.chosen, pair.rejected) if pair.order == "chosen_first" else (pair.rejected, pair.chosen)
+    if fill_template(stretch, candidate_1=first, candidate_2=second) not in pair.prompt:
+        # The reverse order is rendered only to tell the two faults apart.
+        if fill_template(stretch, candidate_1=second, candidate_2=first) in pair.prompt:
+            raise DpoError(f"{label}: recorded order says {pair.order} but prompt disagrees")
         raise DpoError(f"{label}: prompt does not embed both responses verbatim in its candidate slots")
-    if not (chosen_first if pair.order == "chosen_first" else rejected_first):
-        raise DpoError(f"{label}: recorded order says {pair.order} but prompt disagrees")
 
 
 def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> ExportSummary:
@@ -138,9 +138,9 @@ def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> Expo
     """
     if not pairs:
         raise DpoError("no pairs to export")
-    template = load_template("select")
+    stretch = _slot_stretch(load_template("select"))
     for ordinal, pair in enumerate(pairs, start=1):
-        _validate_pair(pair, ordinal, template)
+        _validate_pair(pair, ordinal, stretch)
     out = Path(out_path)
     write_jsonl(out, (pair.to_dict() for pair in pairs))
     reread = load_pairs(out)

@@ -10,6 +10,7 @@ the reverse.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import string
@@ -45,10 +46,12 @@ class EvaluationError(RagselError):
     pass
 
 
+@functools.lru_cache(maxsize=4096)
 def normalize(text: str) -> str:
     """Lowercase, strip punctuation, drop articles, collapse whitespace.
 
-    Idempotent: normalize(normalize(x)) == normalize(x).
+    Idempotent: normalize(normalize(x)) == normalize(x). Memoised, since the
+    preference path normalizes the same answers in filter, expand and export.
     """
     text = text.lower()
     text = text.translate(_PUNCT_TABLE)

@@ -343,7 +343,6 @@ def _match_choice(
 
 def select(
     backend: Backend,
-    prompts: PromptSet,
     question: str,
     internal: CandidateResponse,
     grounded: CandidateResponse,
@@ -353,8 +352,7 @@ def select(
     passages_used: Sequence[str] = (),
     max_tokens: int = 512,
 ) -> SelectionRecord:
-    """Ask the model to pick between the two candidates, through select_prompt
-    (which `prompts` does not shape: its exemplars open only the answer prompts).
+    """Ask the model to pick between the two candidates, through select_prompt.
 
     Presentation order is a fair coin drawn from order_seed. The reply is
     parsed and mapped back to a candidate by normalized answer match; when it
@@ -461,7 +459,6 @@ def run_dataset(
             grounded, used = retrieved or (internal, [])
             return select(
                 backend,
-                prompts,
                 qa.question,
                 internal,
                 grounded,

@@ -151,7 +151,7 @@ def test_self_select_with_empty_retrieval_asks_memory_once(tmp_path):
     # The same record as a separate memory-only call for the grounded slot gives.
     internal = gen_llm_answer(scripted, prompts, qa.question)
     grounded = gen_llm_answer(scripted, prompts, qa.question)
-    expected = select(scripted, prompts, qa.question, internal, grounded, stable_hash_int(0, qa.id), item_id=qa.id)
+    expected = select(scripted, qa.question, internal, grounded, stable_hash_int(0, qa.id), item_id=qa.id)
     assert json.dumps(record.to_dict()) == json.dumps(expected.to_dict())
 
 

@@ -272,9 +272,11 @@ def test_fewshot_file_without_three_shots_exits_one(tmp_path, capsys):
          "--script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
         (lambda t: _drop_last_line(t / "corpus/passages.jsonl"), "run --mode standard-rag --qa {t}/qa.jsonl "
          "--index {t}/index --script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
+        (lambda t: (t / "corpus/offsets.json").write_text("[0, 47]"), "run --mode standard-rag --qa {t}/qa.jsonl "
+         "--index {t}/index --script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
     ],
     ids=["index-header", "corpus-offsets", "index-rows-float64", "corpus-passages-cut-mid-line",
-         "corpus-passages-cut-at-line-end"],
+         "corpus-passages-cut-at-line-end", "corpus-offsets-not-an-object"],
 )
 def test_truncated_index_or_corpus_file_exits_one_with_json_error(tmp_path, capsys, damage, argv, error, hint):
     """A crash while writing leaves a cut file, and a foreign tool may save an

@@ -7,6 +7,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import ragsel.corpus as corpus_module
 from ragsel.corpus import (
     Corpus,
     CorpusError,
@@ -71,8 +72,11 @@ def test_get_missing_id(tmp_path):
         ("stats.json", "{}"),
         ("passages.jsonl", '{"id": "p1", "title": "", "text": "apple pie"}\n{"id": "p2", "ti'),
         ("passages.jsonl", '{"id": "p1", "title": "", "text": "apple pie"}\n'),
+        ("offsets.json", '{"p1": 0, "p2": "47"}'),
+        ("offsets.json", "[0, 47]"),
     ],
-    ids=["offsets-cut", "stats-cut", "stats-without-counts", "passages-cut-mid-line", "passages-cut-at-line-end"],
+    ids=["offsets-cut", "stats-cut", "stats-without-counts", "passages-cut-mid-line", "passages-cut-at-line-end",
+         "offsets-string-offset", "offsets-list"],
 )
 def test_open_refuses_an_undecodable_file(tmp_path, name, content):
     ingest([{"id": "p1", "text": "apple pie"}, {"id": "p2", "text": "tart"}], tmp_path / "c")
@@ -110,6 +114,47 @@ def test_get_matches_a_sequential_read_of_every_record(tmp_path):
     handle = _mixed_corpus(tmp_path)
     expected = list(handle)
     assert [handle.get(p.id) for p in expected] == expected
+
+
+def test_a_second_read_equals_the_first_and_keeps_the_callers_id(tmp_path):
+    handle = _mixed_corpus(tmp_path)
+    ids = [f"p{i}" for i in range(len(handle))]
+    first = [handle.get(pid) for pid in ids]
+    for pid, passage in zip(ids, first):
+        same_id = pid.encode().decode()  # an equal string, but another object
+        again = handle.get(same_id)
+        assert again == passage
+        assert again.id is same_id
+
+
+def test_a_dropped_handle_closes_its_descriptor(tmp_path, monkeypatch):
+    _mixed_corpus(tmp_path)
+    opened = []
+    real_open = os.open
+
+    def spy_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(os, "open", spy_open)
+    handle = Corpus(tmp_path / "c")
+    monkeypatch.undo()
+    [fd] = opened
+    for _ in range(2):
+        assert all(handle.get(f"p{i}").text for i in range(len(handle)))
+    os.fstat(fd)
+    del handle
+    with pytest.raises(OSError):
+        os.fstat(fd)
+
+
+def test_the_passage_cache_stays_within_its_bound(tmp_path, monkeypatch):
+    expected = list(_mixed_corpus(tmp_path))
+    monkeypatch.setattr(corpus_module, "PASSAGE_CACHE_SIZE", 16)
+    handle = Corpus(tmp_path / "c")
+    for _ in range(2):
+        assert [handle.get(p.id) for p in expected] == expected
+        assert handle._read.cache_info().currsize == 16
 
 
 def test_get_from_eight_threads_at_once(tmp_path):

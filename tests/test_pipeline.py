@@ -226,7 +226,7 @@ class TestSelect:
             {"two candidate responses": "Explanation: Reopens the tab. Answer: New tab"}
         )
         record = select(
-            selector, PromptSet.default(), "What does Ctrl+Shift+T do?", internal, grounded, 0,
+            selector, "What does Ctrl+Shift+T do?", internal, grounded, 0,
             item_id="q1", passages_used=["p1"],
         )
         assert record.chosen_source == SOURCE_INTERNAL
@@ -236,7 +236,7 @@ class TestSelect:
     def test_reply_matching_neither_is_flagged(self):
         internal, grounded = _candidate_pair()
         selector = ScriptedBackend({"two candidate responses": "Answer: Zebra stripes"})
-        record = select(selector, PromptSet.default(), "q?", internal, grounded, 0)
+        record = select(selector, "q?", internal, grounded, 0)
         assert record.chosen_source == CHOSEN_NEITHER
         assert record.selector_raw == "Answer: Zebra stripes"
 
@@ -245,7 +245,7 @@ class TestSelect:
         selector = ScriptedBackend(
             {"two candidate responses": "Answer: the shortcut opens a New Tab right away"}
         )
-        record = select(selector, PromptSet.default(), "q?", internal, grounded, 0)
+        record = select(selector, "q?", internal, grounded, 0)
         assert record.chosen_source == SOURCE_INTERNAL
         assert record.final_answer == internal.answer
 
@@ -255,10 +255,9 @@ class TestSelect:
         selector = ScriptedBackend(
             {"two candidate responses&&new tab": "Explanation: Reopens. Answer: New tab"}
         )
-        prompts = PromptSet.default()
         orders = {}
         for seed in range(16):
-            record = select(selector, prompts, "q?", internal, grounded, seed)
+            record = select(selector, "q?", internal, grounded, seed)
             orders[record.presentation_order] = record.chosen_source
         assert set(orders) == {ORDER_INTERNAL_FIRST, ORDER_RETRIEVAL_FIRST}
         assert set(orders.values()) == {SOURCE_INTERNAL}
@@ -281,7 +280,7 @@ class TestOneSelectionPrompt:
                 return "Answer: New tab"
 
         for seed in range(8):
-            record = select(Spy(), PromptSet.default(shots=3), "q?", internal, grounded, seed)
+            record = select(Spy(), "q?", internal, grounded, seed)
             first, second = (
                 (internal, grounded) if record.presentation_order == ORDER_INTERNAL_FIRST else (grounded, internal)
             )
