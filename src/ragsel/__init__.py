@@ -28,7 +28,6 @@ from .pipeline import (
 )
 from .retrieval import (
     Bm25Index,
-    EmbeddingClient,
     RetrievalConfig,
     RetrievalResult,
     build_index,
@@ -47,7 +46,6 @@ __all__ = [
     "CorpusStats",
     "DpoConfig",
     "DpoPair",
-    "EmbeddingClient",
     "GenRequest",
     "HttpBackend",
     "Judgment",

@@ -1,6 +1,8 @@
 """Expand the preference dataset with mined hard negatives: for each query,
 find the K most similar other queries and adopt both of their responses as
-extra negatives, giving up to 2K+1 training pairs per instance.
+extra negatives, giving up to 2K+1 training pairs per instance. Similarity
+is the cosine between the queries' token-count vectors, scored over shared
+CSR postings (`retrieval.Postings`).
 
 Each pair renders the selection prompt used at inference
 (pipeline.select_prompt), with the chosen and rejected responses as its two
@@ -23,11 +25,8 @@ from .data import Record, stable_hash_int
 from .errors import RagselError
 from .evaluation import normalize
 from .pipeline import render_response, select_prompt
-from .retrieval import EmbeddingClient, Postings, tokenize, top_k_positions
+from .retrieval import Postings, tokenize, top_k_positions
 from .rgp import PreferenceInstance, Response
-
-SIM_LEXICAL = "lexical"
-SIM_EMBEDDING = "embedding"
 
 ORDER_CHOSEN_FIRST = "chosen_first"
 ORDER_REJECTED_FIRST = "rejected_first"
@@ -55,7 +54,7 @@ class NeighborSet:
 
 @dataclass
 class DpoPair(Record):
-    prompt: str  # the rendered selection prompt embedding both responses
+    prompt: str  # the rendered selection prompt, holding both responses
     chosen: str
     rejected: str
     order: str  # chosen_first | rejected_first
@@ -76,28 +75,13 @@ def _cosine_counts(a: Counter, b: Counter) -> float:
     return dot / (norm_a * norm_b)
 
 
-def _cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    dot = sum(x * y for x, y in zip(a, b))
-    norm_a = math.sqrt(sum(x * x for x in a))
-    norm_b = math.sqrt(sum(y * y for y in b))
-    if norm_a == 0.0 or norm_b == 0.0:
-        return 0.0
-    return dot / (norm_a * norm_b)
-
-
 def similarity(query_a: str, query_b: str) -> float:
-    """Cosine between the two queries' token-count vectors: the lexical mode of mine_neighbors."""
+    """Cosine between the two queries' token-count vectors, as mine_neighbors scores them."""
     return _cosine_counts(_count_vector(query_a), _count_vector(query_b))
 
 
-def mine_neighbors(
-    dataset: Sequence[PreferenceInstance],
-    k: int,
-    *,
-    mode: str = SIM_LEXICAL,
-    client: EmbeddingClient | None = None,
-) -> dict[str, NeighborSet]:
-    """For every instance, the k most similar OTHER queries.
+def mine_neighbors(dataset: Sequence[PreferenceInstance], k: int) -> dict[str, NeighborSet]:
+    """For every instance, the k most similar OTHER queries by `similarity`.
 
     Ties break by ascending query id; an instance never neighbors itself,
     even when another instance repeats its query text verbatim. Each
@@ -110,33 +94,17 @@ def mine_neighbors(
         raise AugmentError("dataset carries duplicate query ids")
 
     m = len(dataset)
-    if mode == SIM_LEXICAL:
-        tokens = [tokenize(inst.query) for inst in dataset]
-        postings = Postings.build(tokens)
-        # Integer squared norms, so sqrt rounds exactly as in _cosine_counts.
-        norms = np.sqrt(np.bincount(postings.rows, postings.tfs * postings.tfs, minlength=m))
-
-        def row_sims(i: int) -> np.ndarray:
-            dots = postings.dots(Counter(tokens[i]))
-            return np.divide(dots, norms[i] * norms, out=np.zeros(m), where=dots > 0)
-
-    elif mode == SIM_EMBEDDING:
-        if client is None:
-            raise AugmentError("embedding similarity requires an EmbeddingClient")
-        vectors = client.embed([inst.query for inst in dataset])
-
-        def row_sims(i: int) -> np.ndarray:
-            return np.array([_cosine(vectors[i], other) for other in vectors])
-
-    else:
-        raise AugmentError(f"unknown similarity mode {mode!r}")
-
+    tokens = [tokenize(inst.query) for inst in dataset]
+    postings = Postings.build(tokens)
+    # Integer squared norms, so sqrt rounds exactly as in _cosine_counts.
+    norms = np.sqrt(np.bincount(postings.rows, postings.tfs * postings.tfs, minlength=m))
     id_rank = np.empty(m, dtype=np.int64)
     id_rank[sorted(range(m), key=ids.__getitem__)] = np.arange(m)
     k = min(k, m - 1)
     out: dict[str, NeighborSet] = {}
     for i in range(m):
-        sims = row_sims(i)
+        dots = postings.dots(Counter(tokens[i]))
+        sims = np.divide(dots, norms[i] * norms, out=np.zeros(m), where=dots > 0)
         sims[i] = -np.inf
         best = top_k_positions(sims, id_rank, k)
         out[ids[i]] = NeighborSet(query_id=ids[i], neighbors=[(ids[j], float(sims[j])) for j in best])
@@ -216,9 +184,6 @@ def augment_dataset(
     dataset: Sequence[PreferenceInstance],
     k: int,
     order_seed: int,
-    *,
-    mode: str = SIM_LEXICAL,
-    client: EmbeddingClient | None = None,
 ) -> tuple[list[DpoPair], AugmentReport]:
     """Expand every instance, in input order, and report the breakdown.
 
@@ -233,7 +198,7 @@ def augment_dataset(
         raise AugmentError("dataset carries duplicate query ids")
     neighbor_map: dict[str, NeighborSet] = {}
     if k > 0 and len(dataset) > 1:
-        neighbor_map = mine_neighbors(dataset, k, mode=mode, client=client)
+        neighbor_map = mine_neighbors(dataset, k)
 
     report = AugmentReport(instances=len(dataset))
     pairs: list[DpoPair] = []

@@ -49,7 +49,7 @@ from .data import load_qa_file, write_atomic
 from .errors import RagselError
 from .llm import Backend, CachedBackend, HttpBackend, ScriptedBackend
 from .manifest import write_manifest
-from .retrieval import Bm25Index, EmbeddingClient, RetrievalConfig, build_index, index_files
+from .retrieval import Bm25Index, RetrievalConfig, build_index, index_files
 
 
 class AllRecordsFailedError(RagselError):
@@ -81,17 +81,13 @@ def _at_least(default: int, low: int, flag: str | None = None) -> _Setting:
     return _Setting(default, int, f"an integer >= {low}", lambda value: value >= low, flag)
 
 
-def _one_of(default: str, choices: tuple[str, ...], flag: str) -> _Setting:
-    return _Setting(default, str, " or ".join(choices), lambda value: value in choices, flag)
-
-
 def _finite_positive(value: float) -> bool:
     return 0 < value < math.inf
 
 
 # The one declaration of each setting; a flag's dest is its key.
 _SETTINGS: dict[str, _Setting] = {
-    "endpoint_url": _Setting("", str, "a chat or embedding endpoint URL", flag="--endpoint"),
+    "endpoint_url": _Setting("", str, "a chat endpoint URL", flag="--endpoint"),
     "api_key_env": _Setting("", str, "the name of the environment variable holding the token"),
     "model_name": _Setting("default", str, "any text"),
     "max_retries": _at_least(3, 0),
@@ -103,9 +99,8 @@ _SETTINGS: dict[str, _Setting] = {
     "seed": _Setting(0, int, "an integer", flag="--seed"),
     "beta": _Setting(0.1, float, "a finite number > 0", _finite_positive, "--beta"),
     "k": _at_least(2, 0, "--k"),
-    "judge": _one_of(rgp_mod.JUDGE_LEXICAL, (rgp_mod.JUDGE_LLM, rgp_mod.JUDGE_LEXICAL), "--judge"),
-    "similarity": _one_of(augment_mod.SIM_LEXICAL, (augment_mod.SIM_EMBEDDING, augment_mod.SIM_LEXICAL),
-                          "--similarity"),
+    "judge": _Setting(rgp_mod.JUDGE_LEXICAL, str, f"{rgp_mod.JUDGE_LLM} or {rgp_mod.JUDGE_LEXICAL}",
+                      lambda value: value in (rgp_mod.JUDGE_LLM, rgp_mod.JUDGE_LEXICAL), "--judge"),
     "budget": _at_least(0, 0, "--budget"),  # 0 = no prompt budget
     "max_tokens": _at_least(512, 1),
 }
@@ -288,7 +283,6 @@ def cmd_rgp_build(args) -> Outcome:
         backend,
         pipeline.PromptSet.default(shots=0),
         judge_mode=args.judge,
-        judge_backend=backend if args.judge == rgp_mod.JUDGE_LLM else None,
         seed=args.seed,
         max_tokens=args.max_tokens,
     )
@@ -304,16 +298,7 @@ def cmd_rgp_build(args) -> Outcome:
 
 def cmd_rgp_augment(args) -> Outcome:
     dataset = rgp_mod.load_instances(args.in_path)
-    client = None
-    if args.similarity == augment_mod.SIM_EMBEDDING:
-        if not args.endpoint_url:
-            raise RagselError("embedding similarity requires --endpoint (or endpoint_url)")
-        client = EmbeddingClient(
-            args.endpoint_url, model_tag=args.model_name, api_key_env=args.api_key_env or None
-        )
-    pairs, report = augment_mod.augment_dataset(
-        dataset, args.k, args.seed, mode=args.similarity, client=client
-    )
+    pairs, report = augment_mod.augment_dataset(dataset, args.k, args.seed)
     summary = dpo_mod.export_training_file(pairs, args.out)
     return Outcome(
         {"pairs": summary.total, "out": str(args.out), "report": report.to_dict()},
@@ -413,9 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rgp_aug = rgp_sub.add_parser("augment", help="expand instances into DPO pairs")
     p_rgp_aug.add_argument("--in", dest="in_path", required=True)
     p_rgp_aug.add_argument("--out", required=True)
-    _set_command(
-        p_rgp_aug, cmd_rgp_augment, ("k", "similarity", "seed", "endpoint_url", "api_key_env", "model_name")
-    )
+    _set_command(p_rgp_aug, cmd_rgp_augment, ("k", "seed"))
 
     p_dpo = sub.add_parser("dpo", help="preference-loss and export commands")
     dpo_sub = p_dpo.add_subparsers(dest="subcommand", required=True)

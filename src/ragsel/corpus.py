@@ -120,8 +120,11 @@ class Corpus:
         return Passage(id=passage_id, title=title, text=text)
 
     def __iter__(self) -> Iterator[Passage]:
-        for _line_no, record in read_jsonl(self.root / PASSAGES_FILE):
-            yield Passage(id=record["id"], title=record.get("title", ""), text=record["text"])
+        """Every passage in file order, read past the cache."""
+        with open(self.root / PASSAGES_FILE, "rb") as fh:
+            for i, (pid, line) in enumerate(zip(self._ordinal, fh)):
+                title, text = _decode_record(line, i)
+                yield Passage(id=pid, title=title, text=text)
 
     def input_files(self) -> list[Path]:
         """The files a run reads when it opens this corpus (for manifests)."""
@@ -143,7 +146,20 @@ def _read_record(fd: int, bounds: list[int], i: int) -> tuple[str, str]:
     """The (title, text) of record i."""
     # pread keeps no file position, so threads may share the descriptor.
     start, end = bounds[i], bounds[i + 1]
-    record = json.loads(os.pread(fd, end - start, start))
+    return _decode_record(os.pread(fd, end - start, start), i)
+
+
+def _decode_record(line: bytes, i: int) -> tuple[str, str]:
+    """The (title, text) of record i's stored line; a CorpusError when the
+    line is not a JSON object with a string text (and title, if any)."""
+    try:
+        record = json.loads(line)
+    except ValueError:  # bad JSON or bad UTF-8
+        record = None
+    if not (isinstance(record, dict) and isinstance(record.get("text"), str)
+            and isinstance(record.get("title", ""), str)):
+        raise CorpusError(f"passage record {i + 1} of {PASSAGES_FILE} is not a JSON object with a string "
+                          "text; ingest the passages again")
     return record.get("title", ""), record["text"]
 
 

@@ -233,7 +233,13 @@ def decode_failure(exc: KeyError | TypeError | ValueError) -> str:
 
 
 def load_qa_file(path: str | Path) -> list[QAPair]:
-    """Load a QA JSONL file with fields id, question, golden_answers."""
+    """Load a QA JSONL file with fields id, question, golden_answers.
+
+    A gold alias that normalizes to nothing ("", "The", "?") is refused: an
+    unparsed, empty answer would match it exactly.
+    """
+    from .evaluation import normalize  # avoids a module cycle
+
     seen: set[str] = set()
 
     def parse(obj: dict) -> QAPair:
@@ -241,6 +247,9 @@ def load_qa_file(path: str | Path) -> list[QAPair]:
         if not isinstance(golds, list) or not golds:
             raise ValueError("golden_answers must be a non-empty list")
         qa = QAPair.from_dict(obj)
+        for gold in qa.golden_answers:
+            if not normalize(gold):
+                raise ValueError(f"golden answer {gold!r} is empty once normalized")
         if qa.id in seen:
             raise ValueError(f"duplicate qa id {qa.id!r}")
         seen.add(qa.id)

@@ -1,8 +1,8 @@
 """Generation backends behind one interface: an OpenAI-style chat HTTP
 endpoint for real runs, a scripted table for tests and offline runs, and a
 disk replay cache keyed by request fingerprint. `_post_json` is the one HTTP
-transport, on the standard library's `urllib.request`; the chat backend and
-`retrieval.EmbeddingClient` both use it.
+transport, on the standard library's `urllib.request`; the chat backend is
+its one client.
 
 Every failure maps to exactly one of:
 - TransportError: no HTTP status came back. A refused or dropped connection,
@@ -14,7 +14,6 @@ Every failure maps to exactly one of:
   no sooner than its `Retry-After` seconds; every other status fails at
   once, a 3xx too, because no redirect is followed.
 - ScriptMissError: the scripted backend has no matching key.
-The embedding client re-raises the first two as EmbeddingBackendError.
 Parsing of the completion text is the caller's problem, by design.
 """
 
@@ -214,7 +213,7 @@ def _retry_after(headers: Message) -> float:
 def _post_json(url: str, body: dict, *, api_key_env: str | None = None, max_retries: int = 3,
                backoff_base: float = 0.25, timeout: float = 60.0, slots: threading.Semaphore | None = None):
     """POST `body` as JSON and return the decoded JSON reply: the one HTTP
-    transport of the chat and embedding clients.
+    transport, used by the chat client (`HttpBackend`).
 
     A bearer token is sent when the variable named by `api_key_env` is set.
     Connection errors, timeouts, truncated replies and 429/5xx are retried up

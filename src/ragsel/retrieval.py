@@ -1,5 +1,4 @@
-"""Top-K passage retrieval with an Okapi BM25 inverted index, plus the client
-for an external embedding endpoint.
+"""Top-K passage retrieval with an Okapi BM25 inverted index.
 
 The BM25 variant is fixed so results are bit-stable across machines:
 
@@ -35,7 +34,6 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import RagselError
-from .llm import StatusError, TransportError, _post_json
 
 INDEX_FILE = "index.json"
 INDEX_FORMAT = "ragsel-bm25-index"
@@ -64,10 +62,6 @@ class EmptyCorpusError(RetrievalError):
 
 class IndexFormatError(RetrievalError):
     pass
-
-
-class EmbeddingBackendError(RetrievalError):
-    """The embedding endpoint failed or returned vectors we cannot use."""
 
 
 @dataclass(frozen=True)
@@ -304,52 +298,4 @@ def build_index(corpus: Corpus, config: RetrievalConfig | None = None) -> Bm25In
         postings=Postings.build([tokens for _pid, tokens in docs]),
         corpus_path=str(corpus.root),
     )
-
-
-class EmbeddingClient:
-    """HTTP client for an embedding endpoint, over `llm._post_json` with its
-    default retry policy; every failure raises EmbeddingBackendError.
-
-    Wire format: POST {"input": [str], "model": tag} -> {"embeddings": [[float]]}.
-    Auth is a bearer token read from the environment variable named by
-    `api_key_env`, when set.
-    """
-
-    def __init__(
-        self,
-        endpoint_url: str,
-        model_tag: str = "default",
-        api_key_env: str | None = None,
-        timeout: float = 30.0,
-    ):
-        self.endpoint_url = endpoint_url
-        self.model_tag = model_tag
-        self.api_key_env = api_key_env
-        self.timeout = timeout
-
-    def embed(self, texts: list[str]) -> list[list[float]]:
-        body = {"input": texts, "model": self.model_tag}
-        try:
-            payload = _post_json(self.endpoint_url, body, api_key_env=self.api_key_env, timeout=self.timeout)
-        except TransportError as exc:
-            raise EmbeddingBackendError(f"embedding endpoint unreachable: {exc}") from exc
-        except StatusError as exc:
-            raise EmbeddingBackendError(f"embedding endpoint failed: {exc}") from exc
-        vectors = payload.get("embeddings") if isinstance(payload, dict) else None
-        try:
-            well_formed = isinstance(vectors, list) and all(
-                isinstance(vec, list) and all(type(x) in (int, float) and math.isfinite(x) for x in vec)
-                for vec in vectors
-            )
-        except OverflowError:  # an integer too large for a float
-            well_formed = False
-        if not well_formed:
-            raise EmbeddingBackendError("embedding endpoint returned a malformed payload")
-        if len(vectors) != len(texts):
-            raise EmbeddingBackendError(
-                f"embedding endpoint returned {len(vectors)} vectors for {len(texts)} inputs"
-            )
-        if len({len(vec) for vec in vectors}) > 1:
-            raise EmbeddingBackendError("embedding endpoint returned vectors of unequal length")
-        return [[float(x) for x in vec] for vec in vectors]
 

@@ -229,12 +229,12 @@ def build(
     prompts: PromptSet,
     *,
     judge_mode: str = JUDGE_LEXICAL,
-    judge_backend: Backend | None = None,
     seed: int = 0,
     max_tokens: int = 512,
 ) -> tuple[list[PreferenceInstance], BuildReport]:
     """Map generate (through pipeline._map_items) -> judge -> filter over the
-    QA set, judging each bundle in input order as it arrives.
+    QA set, judging each bundle in input order as it arrives; the llm judge
+    asks `backend`, the same backend that generated the candidates.
 
     Per-item failures (generation errors, judge backend errors, unparseable
     judge verdicts) are quarantined with reasons; the batch always completes.
@@ -257,7 +257,7 @@ def build(
             continue
         try:
             internal_correct, grounded_correct = (
-                judge(cand.answer, qa.golden_answers, mode=judge_mode, backend=judge_backend)
+                judge(cand.answer, qa.golden_answers, mode=judge_mode, backend=backend)
                 for cand in (bundle.internal, bundle.grounded)
             )
         except (JudgeError, GatewayError) as exc:

@@ -1,4 +1,4 @@
-"""Shared fixtures: a loopback HTTP stub for chat/embedding endpoints and
+"""Shared fixtures: a loopback HTTP stub for chat endpoints and
 small corpus builders."""
 
 from __future__ import annotations

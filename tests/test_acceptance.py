@@ -410,7 +410,7 @@ def test_criterion_7_determinism_byte_identical(tmp_path):
             cli_main(
                 [
                     "rgp", "augment",
-                    "--in", str(instances), "--k", "2", "--similarity", "lexical",
+                    "--in", str(instances), "--k", "2",
                     "--seed", "22", "--out", str(pairs),
                 ]
             )

@@ -140,31 +140,6 @@ class TestMineNeighbors:
                     assert {sim for _qid, sim in got} == {0.0}
 
 
-def _toy_embedding(text: str) -> list[float]:
-    # Few distinct small vectors, one of them zero, so cosines tie often.
-    n = sum(ord(c) for c in text) % 5
-    return [float(n % 2), float(n // 2), float(n % 3 == 1)]
-
-
-class TestMineNeighborsEmbedding:
-    def test_matches_brute_force_cosine(self, http_stub):
-        from ragsel.augment import _cosine
-        from ragsel.retrieval import EmbeddingClient
-
-        http_stub.set_handler(lambda path, payload: (200, {"embeddings": [_toy_embedding(t) for t in payload["input"]]}))
-        dataset = [_instance(f"q{i:02d}", f"question number {i}") for i in range(15)]
-        neighbor_map = mine_neighbors(dataset, k=4, mode="embedding", client=EmbeddingClient(http_stub.url))
-        assert http_stub.hits == 1
-        for inst in dataset:
-            sims = [
-                (other.query_id, _cosine(_toy_embedding(inst.query), _toy_embedding(other.query)))
-                for other in dataset
-                if other.query_id != inst.query_id
-            ]
-            sims.sort(key=lambda item: (-item[1], item[0]))
-            assert neighbor_map[inst.query_id].neighbors == sims[:4]
-
-
 class TestExpand:
     def _trio(self):
         a = _instance("qa", "alpha question", positive="alpha pos", negative="alpha neg")

@@ -243,6 +243,14 @@ def _drop_last_line(path):
     path.write_bytes(b"".join(path.read_bytes().splitlines(keepends=True)[:-1]))
 
 
+def _edit_second_record(path, old, new):
+    """Edit passage record 2 in place, keeping every offset and the file's tail."""
+    assert len(old) == len(new)
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1].replace(old, new, 1)
+    path.write_bytes(b"".join(lines))
+
+
 def test_fewshot_file_without_three_shots_exits_one(tmp_path, capsys):
     """An exemplar file at shots 0 was once ignored, yet digested in the manifest."""
     _passages_path, qa_path, script_path = _desk_inputs(tmp_path)
@@ -274,13 +282,19 @@ def test_fewshot_file_without_three_shots_exits_one(tmp_path, capsys):
          "--index {t}/index --script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
         (lambda t: (t / "corpus/offsets.json").write_text("[0, 47]"), "run --mode standard-rag --qa {t}/qa.jsonl "
          "--index {t}/index --script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
+        (lambda t: _edit_second_record(t / "corpus/passages.jsonl", b'"', b"'"),
+         "index build --corpus {t}/corpus --out {t}/index2", "CorpusError", "ingest the passages again"),
+        (lambda t: _edit_second_record(t / "corpus/passages.jsonl", b'"text"', b'"texx"'),
+         "index build --corpus {t}/corpus --out {t}/index2", "CorpusError", "ingest the passages again"),
     ],
     ids=["index-header", "corpus-offsets", "index-rows-float64", "corpus-passages-cut-mid-line",
-         "corpus-passages-cut-at-line-end", "corpus-offsets-not-an-object"],
+         "corpus-passages-cut-at-line-end", "corpus-offsets-not-an-object", "corpus-record-not-json",
+         "corpus-record-without-text"],
 )
 def test_truncated_index_or_corpus_file_exits_one_with_json_error(tmp_path, capsys, damage, argv, error, hint):
-    """A crash while writing leaves a cut file, and a foreign tool may save an
-    array of another dtype; reading either is one error line, not a traceback."""
+    """A crash while writing leaves a cut file, a foreign tool may save an
+    array of another dtype, and a hand edit may damage one passage record;
+    reading any of them is one error line, not a traceback."""
     passages_path, _qa, _script = _desk_inputs(tmp_path)
     assert main(["corpus", "ingest", "--passages", str(passages_path), "--out", str(tmp_path / "corpus")]) == 0
     assert main(["index", "build", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "index")]) == 0
@@ -294,6 +308,27 @@ def test_truncated_index_or_corpus_file_exits_one_with_json_error(tmp_path, caps
     assert last["error"] == error
     assert last["message"].endswith(hint)
     assert not (tmp_path / "out.jsonl").exists()
+
+
+def test_a_damaged_passage_record_fails_only_the_item_that_reads_it(tmp_path, capsys):
+    """`run` records the error on the item and `rgp build` quarantines it; the others go on."""
+    passages_path, qa_path, script_path = _desk_inputs(tmp_path)
+    corpus_dir, index_dir = tmp_path / "corpus", tmp_path / "index"
+    assert main(["corpus", "ingest", "--passages", str(passages_path), "--out", str(corpus_dir)]) == 0
+    assert main(["index", "build", "--corpus", str(corpus_dir), "--out", str(index_dir)]) == 0
+    _edit_second_record(corpus_dir / "passages.jsonl", b'"', b"'")  # d2, which only q2 retrieves
+    inputs = ["--qa", str(qa_path), "--index", str(index_dir), "--script", str(script_path)]
+    error = "CorpusError: passage record 2 of passages.jsonl is not a JSON object with a string text; " \
+            "ingest the passages again"
+    capsys.readouterr()
+    results = tmp_path / "r.jsonl"
+    assert main(["run", "--mode", "self-select", *inputs, "--out", str(results)]) == 0
+    records = [json.loads(line) for line in results.read_text().splitlines()]
+    assert [r["error"] for r in records] == [None, error, None, None]
+    assert main(["rgp", "build", *inputs, "--out", str(tmp_path / "inst.jsonl")]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out.strip().splitlines()[-1])["report"]["quarantine_reasons"] == [f"q2: {error}"]
+    assert captured.err == ""
 
 
 class TestEndToEnd:
@@ -430,7 +465,6 @@ class TestRgpAndDpoCommands:
                 "rgp", "augment",
                 "--in", str(instances),
                 "--k", "1",
-                "--similarity", "lexical",
                 "--seed", "5",
                 "--out", str(pairs),
             ]
@@ -441,28 +475,6 @@ class TestRgpAndDpoCommands:
         reexport = tmp_path / "pairs2.jsonl"
         assert main(["dpo", "export", "--in", str(pairs), "--out", str(reexport)]) == 0
         assert reexport.read_bytes() == pairs.read_bytes()
-
-    def test_augment_with_a_malformed_embedding_reply_exits_one(self, tmp_path, http_stub, capsys):
-        instances = self._build_instances(tmp_path)
-        http_stub.enqueue(200, {"embeddings": None})
-        capsys.readouterr()
-        out = tmp_path / "pairs.jsonl"
-        code = main(
-            [
-                "rgp", "augment",
-                "--in", str(instances),
-                "--k", "1",
-                "--similarity", "embedding",
-                "--endpoint", http_stub.url,
-                "--seed", "5",
-                "--out", str(out),
-            ]
-        )
-        assert code == 1
-        err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert err == {"error": "EmbeddingBackendError", "message": "embedding endpoint returned a malformed payload"}
-        assert http_stub.hits == 1
-        assert not out.exists()
 
     def test_rgp_llm_judge_mode(self, tmp_path, capsys):
         passages_path, qa_path, script_path = _desk_inputs(tmp_path)
@@ -704,7 +716,7 @@ _PINS = {
     ),
     "rgp augment": (
         ["out", "pairs", "report"],
-        {"k": 1, "similarity": "lexical", "seed": 5, "endpoint_url": "", "api_key_env": "", "model_name": "default"},
+        {"k": 1, "seed": 5},
         {"order_seed": 5},
         ["inst.jsonl", "ragsel.conf"],
     ),
@@ -787,11 +799,9 @@ _BAD_SETTINGS = {
         "rgp build --qa {t}/qa.jsonl --index {t}/index --script {t}/script.jsonl --out {o}",
         {"JUDGE": "oracle"}, None, "judge",
     ),
+    # `similarity` is no setting, so a config line naming it is refused.
     "rgp-augment-config-similarity": (
         "rgp augment --in {t}/lp.jsonl --out {o}", {}, "similarity = dense", "similarity",
-    ),
-    "rgp-augment-flag-similarity": (
-        "rgp augment --in {t}/lp.jsonl --similarity foo --out {o}", {}, None, "similarity",
     ),
     "rgp-augment-flag-k-negative": ("rgp augment --in {t}/lp.jsonl --k -1 --out {o}", {}, None, "k"),
     # Every key is checked for every command, also one the command never reads.

@@ -85,6 +85,40 @@ def test_open_refuses_an_undecodable_file(tmp_path, name, content):
         Corpus(tmp_path / "c")
 
 
+def _same_length(line: bytes, old: bytes, new: bytes) -> bytes:
+    assert len(old) == len(new)
+    return line.replace(old, new, 1)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda line: _same_length(line, b'"', b"'"),
+        lambda line: _same_length(line, b'"title"', b'"title '),
+        lambda line: _same_length(line, b"tart", b"t\xffrt"),
+        lambda line: b"0".ljust(len(line) - 1) + b"\n",
+        lambda line: _same_length(line, b'"text"', b'"texx"'),
+        lambda line: _same_length(line, b'"tart"', b"123456"),
+        lambda line: _same_length(line, b'"title": ""', b'"title": 0 '),
+    ],
+    ids=["quote", "cut-key", "bad-utf8", "not-an-object", "text-renamed", "text-a-number", "title-a-number"],
+)
+def test_a_damaged_record_mid_file_is_a_corpus_error(tmp_path, damage):
+    """The edit keeps every offset and the file's tail, so the corpus still opens."""
+    ingest([{"id": f"p{i}", "text": text} for i, text in enumerate(["apple pie", "tart", "cake"], 1)], tmp_path / "c")
+    path = tmp_path / "c" / "passages.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[1] = damage(lines[1])
+    path.write_bytes(b"".join(lines))
+    handle = Corpus(tmp_path / "c")
+    assert (handle.get("p1").text, handle.get("p3").text) == ("apple pie", "cake")
+    message = "passage record 2 of passages.jsonl is not a JSON object .*; ingest the passages again"
+    with pytest.raises(CorpusError, match=message):
+        handle.get("p2")
+    with pytest.raises(CorpusError, match=message):
+        list(handle)
+
+
 def test_round_trip_preserves_multibyte_text(tmp_path):
     text = "Österreich – die „Alpenrepublik“ 🌍 naïve façade 日本語テキスト"
     handle = ingest([{"id": "p1", "title": "tïtle", "text": text}], tmp_path / "c")

@@ -248,6 +248,10 @@ _QA = {"id": "q1", "question": "Who?", "golden_answers": ["x"]}
         ),
         (load_qa_file, {**_QA, "golden_answers": []}, "golden_answers must be a non-empty list"),
         (load_qa_file, {**_QA, "golden_answers": "x"}, "golden_answers must be a non-empty list"),
+        (load_qa_file, {**_QA, "golden_answers": ["x", ""]}, "golden answer '' is empty once normalized"),
+        (load_qa_file, {**_QA, "golden_answers": ["The"]}, "golden answer 'The' is empty once normalized"),
+        (load_qa_file, {**_QA, "golden_answers": ["a"]}, "golden answer 'a' is empty once normalized"),
+        (load_qa_file, {**_QA, "golden_answers": [" ?! "]}, "golden answer ' ?! ' is empty once normalized"),
     ],
 )
 def test_qa_and_logprob_lines_are_type_checked(tmp_path, load, row, message):

@@ -10,8 +10,6 @@ from conftest import make_corpus
 from ragsel.corpus import ingest
 from ragsel.retrieval import (
     Bm25Index,
-    EmbeddingBackendError,
-    EmbeddingClient,
     EmptyCorpusError,
     IndexFormatError,
     RetrievalConfig,
@@ -349,11 +347,3 @@ class TestImpacts:
         assert np.array_equal(loaded.impacts, built.impacts)
         for query in ["every", "w0 w1 w0", " ".join(vocab), "absent"]:
             assert loaded.retrieve(query, 5).to_json() == built.retrieve(query, 5).to_json()
-
-
-class TestDenseRetrieve:
-    def test_endpoint_failure_carries_cause(self, monkeypatch):
-        monkeypatch.setattr("ragsel.llm.time.sleep", lambda _seconds: None)
-        client = EmbeddingClient("http://127.0.0.1:1/v1/embeddings", timeout=0.2)
-        with pytest.raises(EmbeddingBackendError, match="unreachable"):
-            client.embed(["query"])

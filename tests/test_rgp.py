@@ -220,7 +220,7 @@ class TestBuild:
         }
         backend = ScriptedBackend(script)
         instances, report = build(
-            qa, index, corpus, backend, PromptSet.default(), judge_mode="llm", judge_backend=backend
+            qa, index, corpus, backend, PromptSet.default(), judge_mode="llm"
         )
         assert instances == []
         assert report.quarantined == 1
@@ -228,11 +228,9 @@ class TestBuild:
 
     def test_judge_backend_failure_is_quarantined(self, tmp_path):
         corpus, index, qa = _fixture(tmp_path, n=3)
+        # Answers both candidate prompts of every item, but not the judge prompt.
         backend = _script(3, internal_right={1}, grounded_right={2})
-        judge_backend = ScriptedBackend({"nothing matches": "Yes"})
-        instances, report = build(
-            qa, index, corpus, backend, PromptSet.default(), judge_mode="llm", judge_backend=judge_backend
-        )
+        instances, report = build(qa, index, corpus, backend, PromptSet.default(), judge_mode="llm")
         assert instances == []
         assert report.quarantined == report.total == 3
         assert [r.split(": ")[:2] for r in report.quarantine_reasons] == [

@@ -1,6 +1,6 @@
-"""The one HTTP transport (`llm._post_json`) as both clients see it: retries,
-fail-fast statuses, bearer auth, malformed payloads and broken connections,
-injected through the loopback StubServer."""
+"""The one HTTP transport (`llm._post_json`) as the chat client sees it:
+retries, fail-fast statuses, bearer auth, malformed payloads and broken
+connections, injected through the loopback StubServer."""
 
 import json
 import os
@@ -13,7 +13,6 @@ import pytest
 import ragsel
 from conftest import chat_body
 from ragsel.llm import GenRequest, HttpBackend, StatusError, TransportError
-from ragsel.retrieval import EmbeddingBackendError, EmbeddingClient
 
 TOKEN_ENV = "RAGSEL_TEST_API_TOKEN"
 
@@ -26,62 +25,31 @@ def sleeps(monkeypatch):
     return slept
 
 
-class TestEmbeddingRetries:
+def _ask(url, **kw):
+    return HttpBackend(url, "m", **kw).complete(GenRequest(user_prompt="q"))
+
+
+class TestDefaultRetries:
     def test_503_then_200_succeeds_on_the_second_hit(self, http_stub, sleeps):
         http_stub.enqueue(503, {})
-        http_stub.enqueue(200, {"embeddings": [[1.0, 2.0]]})
-        assert EmbeddingClient(http_stub.url).embed(["a"]) == [[1.0, 2.0]]
+        http_stub.enqueue(200, chat_body("after one retry"))
+        assert _ask(http_stub.url) == "after one retry"
         assert http_stub.hits == 2
         assert sleeps == [0.25]
 
     def test_404_fails_fast(self, http_stub, sleeps):
         http_stub.enqueue(404, {})
-        with pytest.raises(EmbeddingBackendError, match="HTTP 404"):
-            EmbeddingClient(http_stub.url).embed(["a"])
+        with pytest.raises(StatusError, match="HTTP 404"):
+            _ask(http_stub.url)
         assert http_stub.hits == 1
         assert sleeps == []
 
     def test_retries_exhausted_with_the_default_policy(self, http_stub, sleeps):
         http_stub.enqueue(500, {})
-        with pytest.raises(EmbeddingBackendError, match="HTTP 500 after 4 attempt"):
-            EmbeddingClient(http_stub.url).embed(["a"])
+        with pytest.raises(StatusError, match="HTTP 500 after 4 attempt"):
+            _ask(http_stub.url)
         assert http_stub.hits == 4
         assert sleeps == [0.25, 0.5, 1.0]
-
-
-@pytest.mark.parametrize(
-    "body",
-    [
-        b"<html>not json</html>",
-        [[1.0, 2.0]],
-        "just a string",
-        {},
-        {"embeddings": None},
-        {"embeddings": "1.0"},
-        {"embeddings": [None]},
-        {"embeddings": [["x"]]},
-        {"embeddings": [["1.5"]]},
-        {"embeddings": [[None]]},
-        {"embeddings": [[True]]},
-        {"embeddings": [{"0": 1.0}]},
-        {"embeddings": [[1.0], [2.0]]},
-        b'{"embeddings": [[NaN, Infinity]]}',
-        b'{"embeddings": [[1' + b"0" * 400 + b"]]}",
-    ],
-    ids=repr,
-)
-def test_malformed_embedding_payload_is_an_embedding_error(http_stub, body):
-    http_stub.enqueue(200, body)
-    with pytest.raises(EmbeddingBackendError):
-        EmbeddingClient(http_stub.url).embed(["only one input"])
-    assert http_stub.hits == 1
-
-
-def test_embedding_vectors_of_unequal_length_are_an_embedding_error(http_stub):
-    http_stub.enqueue(200, {"embeddings": [[1.0, 0.0, 5.0], [1.0]]})
-    with pytest.raises(EmbeddingBackendError, match="unequal length"):
-        EmbeddingClient(http_stub.url).embed(["first input", "second input"])
-    assert http_stub.hits == 1
 
 
 def test_chat_reply_that_is_not_json_is_a_status_error(http_stub):
@@ -96,17 +64,11 @@ def _call_chat(url):
     HttpBackend(url, "m", api_key_env=TOKEN_ENV).complete(GenRequest(user_prompt="q"))
 
 
-def _call_embeddings(url):
-    EmbeddingClient(url, api_key_env=TOKEN_ENV).embed(["q"])
-
-
 def _reply(path, payload):
-    if "input" in payload:
-        return 200, {"embeddings": [[1.0] for _ in payload["input"]]}
     return 200, chat_body("ok")
 
 
-@pytest.mark.parametrize("call", [_call_chat, _call_embeddings], ids=["chat", "embeddings"])
+@pytest.mark.parametrize("call", [_call_chat], ids=["chat"])
 class TestBearerAuth:
     def test_token_is_sent_when_the_variable_is_set(self, http_stub, monkeypatch, call):
         monkeypatch.setenv(TOKEN_ENV, "s3cret")
@@ -120,10 +82,6 @@ class TestBearerAuth:
         http_stub.set_handler(_reply)
         call(http_stub.url)
         assert "authorization" not in http_stub.headers[-1]
-
-
-def _ask(url, **kw):
-    return HttpBackend(url, "m", **kw).complete(GenRequest(user_prompt="q"))
 
 
 class TestRetryAfter:
@@ -206,8 +164,6 @@ def test_only_http_and_https_urls_are_opened(tmp_path, sleeps, scheme):
         _ask(url)
     assert excinfo.value.attempts == 1
     assert sleeps == []
-    with pytest.raises(EmbeddingBackendError, match="not http or https"):
-        EmbeddingClient(url).embed(["q"])
 
 
 def test_malformed_url_fails_at_once(sleeps):
