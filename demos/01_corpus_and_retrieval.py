@@ -24,22 +24,21 @@ tmp = tempfile.TemporaryDirectory(prefix="ragsel-demo1-")
 work = Path(tmp.name)
 print(f"working directory: {work}\n")
 
-# 1. Ingest. The corpus directory stores the raw records, a byte-offset
-#    index for O(1) lookup by id, and exact token statistics.
+# 1. Ingest. The corpus directory stores the raw records and a byte-offset
+#    index for O(1) lookup by id.
 corpus = ingest(PASSAGES, work / "corpus")
-stats = corpus.stats
-print(f"ingested {stats.passage_count} passages, {stats.total_tokens} tokens "
-      f"(avg {stats.avg_doc_len} per passage)")
+print(f"ingested {len(corpus)} passages")
 print(f"round trip p03 -> {corpus.get('p03').text!r}\n")
 
-# 2. The tokenizer is unicode-alphanumeric runs, lowercased. It is shared by
-#    the stats above and the index below, so lengths always agree.
+# 2. The tokenizer is unicode-alphanumeric runs, lowercased. Only the index
+#    tokenizes, so its passage lengths are the one token count there is.
 print(f"tokenize('Ctrl+Shift+T') -> {tokenize('Ctrl+Shift+T')}\n")
 
 # 3. Build the index and retrieve. Scores follow the non-negative idf
 #    variant ln(1 + (N-df+0.5)/(df+0.5)); zero-scoring passages never pad the
 #    result list, and ties break by ascending passage id.
 index = build_index(corpus)
+print(f"indexed {int(index.postings.lengths.sum())} tokens (avgdl {index.avgdl} per passage)")
 for query in ("apple", "shakespeare tragedy", "moon landing", "unrelated words"):
     hits = index.retrieve(query, top_k=3).hits
     rendered = ", ".join(f"{pid}:{score:.3f}" for pid, score in hits) or "(no hits)"

@@ -4,7 +4,7 @@ the evaluation machinery to score it all.
 """
 
 from .augment import DpoPair, NeighborSet, augment_dataset, expand, mine_neighbors, similarity
-from .corpus import Corpus, CorpusStats, Passage, ingest
+from .corpus import Corpus, Passage, ingest
 from .data import QAPair, load_qa_file
 from .dpo import DpoConfig, LogProbRecord, dataset_loss, export_training_file, pair_loss
 from .errors import RagselError
@@ -43,7 +43,6 @@ __all__ = [
     "CandidateBundle",
     "CandidateResponse",
     "Corpus",
-    "CorpusStats",
     "DpoConfig",
     "DpoPair",
     "GenRequest",

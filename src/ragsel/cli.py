@@ -115,11 +115,17 @@ def _resolve_settings(args: argparse.Namespace) -> None:
     args.config = args.config or os.environ.get(ENV_CONFIG_PATH) or None
     file_values: dict[str, str] = {}
     if args.config:
-        for raw in Path(args.config).read_text(encoding="utf-8").splitlines():
+        try:
+            text = Path(args.config).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise SettingError(f"config file {args.config} is not UTF-8 text ({exc})") from None
+        for line_no, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
-            if not line or line.startswith("#") or "=" not in line:
+            if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise SettingError(f"config file {args.config} line {line_no}: {line!r} is not key = value")
             key, value = key.strip(), value.strip()
             if key not in _SETTINGS:
                 raise SettingError(f"setting {key} = {value!r}: no such setting")
@@ -213,7 +219,7 @@ def _open_index_and_corpus(args: argparse.Namespace) -> tuple[Bm25Index, corpus_
 
 def cmd_corpus_ingest(args) -> Outcome:
     handle = corpus_mod.ingest(args.passages, args.out)
-    line = {"passages": len(handle), "total_tokens": handle.stats.total_tokens, "out": str(args.out)}
+    line = {"passages": len(handle), "out": str(args.out)}
     return Outcome(line, inputs=[args.passages])
 
 
@@ -221,7 +227,8 @@ def cmd_index_build(args) -> Outcome:
     handle = corpus_mod.Corpus(args.corpus)
     index = build_index(handle, RetrievalConfig(k1=args.k1, b=args.b))
     index.save(args.out)
-    line = {"passages": index.N, "terms": len(index.postings.terms), "out": str(args.out)}
+    line = {"passages": index.N, "terms": len(index.postings.terms),
+            "total_tokens": int(index.postings.lengths.sum()), "out": str(args.out)}
     return Outcome(line, inputs=handle.input_files())
 
 

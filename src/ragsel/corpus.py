@@ -1,9 +1,9 @@
 """Passage collections: ingest JSONL records into an on-disk corpus directory.
 
-A corpus directory holds the normalized records (`passages.jsonl`), a byte
-offset per passage id for O(1) lookup (`offsets.json`), and token statistics
-(`stats.json`). Once ingested a corpus is immutable; any number of readers
-may open it concurrently.
+A corpus directory holds the normalized records (`passages.jsonl`) and a
+byte offset per passage id for O(1) lookup (`offsets.json`). Token counts
+belong to the index, which is the one place that tokenizes. Once ingested a
+corpus is immutable; any number of readers may open it concurrently.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import shutil
 import uuid
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -24,7 +23,6 @@ from .errors import RagselError
 
 PASSAGES_FILE = "passages.jsonl"
 OFFSETS_FILE = "offsets.json"
-STATS_FILE = "stats.json"
 PASSAGE_CACHE_SIZE = 4096  # decoded passages one handle keeps
 
 
@@ -35,7 +33,6 @@ class CorpusError(RagselError):
 class DuplicatePassageError(CorpusError):
     def __init__(self, passage_id: str):
         super().__init__(f"duplicate passage id {passage_id!r}")
-        self.passage_id = passage_id
 
 
 class EmptyTextError(CorpusError):
@@ -47,7 +44,6 @@ class EmptyTextError(CorpusError):
 class PassageNotFoundError(CorpusError):
     def __init__(self, passage_id: str):
         super().__init__(f"no passage with id {passage_id!r}")
-        self.passage_id = passage_id
 
 
 @dataclass(frozen=True)
@@ -57,19 +53,6 @@ class Passage:
     id: str
     title: str
     text: str
-
-
-@dataclass(frozen=True)
-class CorpusStats:
-    passage_count: int
-    total_tokens: int
-
-    @property
-    def avg_doc_len(self) -> Fraction:
-        """Mean tokens per passage, exact; 0 for an empty corpus."""
-        if self.passage_count == 0:
-            return Fraction(0)
-        return Fraction(self.total_tokens, self.passage_count)
 
 
 class Corpus:
@@ -83,10 +66,8 @@ class Corpus:
         try:
             offsets: dict[str, int] = json.loads(offsets_path.read_text(encoding="utf-8"))
             _check_offsets(offsets)
-            raw = json.loads((self.root / STATS_FILE).read_text(encoding="utf-8"))
-            self._stats = CorpusStats(passage_count=raw["passage_count"], total_tokens=raw["total_tokens"])
-        except (ValueError, KeyError, TypeError) as exc:  # ValueError covers bad JSON and bad UTF-8
-            raise CorpusError(f"{self.root} holds an unreadable {OFFSETS_FILE} or {STATS_FILE} "
+        except ValueError as exc:  # bad JSON, bad UTF-8 or a bad shape
+            raise CorpusError(f"{self.root} holds an unreadable {OFFSETS_FILE} "
                               f"({type(exc).__name__}: {exc}); ingest the passages again") from exc
         # offsets.json lists ids in file order, so record i spans
         # bounds[i]:bounds[i + 1], the last one ending at the file's end.
@@ -103,10 +84,6 @@ class Corpus:
         # Bound to the descriptor and bounds, not to self, so the cache holds
         # no reference back to the handle and a dropped handle closes at once.
         self._read = functools.lru_cache(maxsize=PASSAGE_CACHE_SIZE)(functools.partial(_read_record, fd, bounds))
-
-    @property
-    def stats(self) -> CorpusStats:
-        return self._stats
 
     def __len__(self) -> int:
         return len(self._ordinal)
@@ -128,7 +105,7 @@ class Corpus:
 
     def input_files(self) -> list[Path]:
         """The files a run reads when it opens this corpus (for manifests)."""
-        return [self.root / name for name in (PASSAGES_FILE, OFFSETS_FILE, STATS_FILE)]
+        return [self.root / name for name in (PASSAGES_FILE, OFFSETS_FILE)]
 
 
 def _check_offsets(offsets) -> None:
@@ -167,9 +144,7 @@ def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:
     """Persist a stream of passage records and return a read handle.
 
     `source` is either a path to a JSONL file of {"id", "title"?, "text"}
-    records or an iterable of such dicts. The stored token statistics count
-    with the retrieval tokenizer, so stats and index always agree on token
-    counts.
+    records or an iterable of such dicts.
 
     Ingest is single-writer: it fails rather than amend an existing corpus.
     `out_dir` must be missing or an empty directory. The corpus is built in a
@@ -177,8 +152,6 @@ def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:
     nothing at `out_dir` and a retry starts clean.
     """
     out = Path(out_dir)
-    if (out / PASSAGES_FILE).exists():
-        raise CorpusError(f"{out} already contains a corpus; ingest will not overwrite it")
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise CorpusError(f"{out} is not an empty directory; ingest will not write into it")
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -194,15 +167,8 @@ def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:
 
 
 def _write_corpus(source: str | Path | Iterable[dict], root: Path) -> None:
-    from .retrieval import tokenize  # avoids a module cycle
-
-    if isinstance(source, (str, Path)):
-        records: Iterable[tuple[int, dict]] = read_jsonl(source)
-    else:
-        records = ((i, rec) for i, rec in enumerate(source, start=1))
-
+    records = read_jsonl(source) if isinstance(source, (str, Path)) else enumerate(source, start=1)
     offsets: dict[str, int] = {}
-    total_tokens = 0
     position = 0
     with open(root / PASSAGES_FILE, "wb") as fh:
         for ordinal, record in records:
@@ -220,18 +186,4 @@ def _write_corpus(source: str | Path | Iterable[dict], root: Path) -> None:
             offsets[pid] = position
             fh.write(encoded)
             position += len(encoded)
-            total_tokens += len(tokenize(text))
-
-    stats = CorpusStats(passage_count=len(offsets), total_tokens=total_tokens)
     (root / OFFSETS_FILE).write_text(json.dumps(offsets), encoding="utf-8")
-    avg = stats.avg_doc_len
-    (root / STATS_FILE).write_text(
-        json.dumps(
-            {
-                "passage_count": stats.passage_count,
-                "total_tokens": stats.total_tokens,
-                "avg_doc_len": [avg.numerator, avg.denominator],
-            }
-        ),
-        encoding="utf-8",
-    )

@@ -120,16 +120,22 @@ class MetricReport(Record):
         )
 
 
-def evaluate(records: Sequence["SelectionRecord"], qa: Sequence[QAPair]) -> MetricReport:
-    """Score each record's final answer against the QA pair with the same id.
-
-    Every record id must appear in the QA set; QA pairs without a record are
-    ignored, so a partial results file can be scored against a full QA file.
-    """
+def _golds_by_id(records: Sequence["SelectionRecord"], qa: Sequence[QAPair]) -> dict[str, list[str]]:
+    """The QA golds by id, once each record id is known to occur once and in
+    the QA set; a partial results file may be scored against a full QA set."""
     golds_by_id = {pair.id: pair.golden_answers for pair in qa}
     unmatched = [r.id for r in records if r.id not in golds_by_id]
     if unmatched:
         raise EvaluationError(f"records with no matching qa id: {unmatched}")
+    repeated = [item_id for item_id, n in Counter(r.id for r in records).items() if n > 1]
+    if repeated:
+        raise EvaluationError(f"records that repeat an id: {repeated}")
+    return golds_by_id
+
+
+def evaluate(records: Sequence["SelectionRecord"], qa: Sequence[QAPair]) -> MetricReport:
+    """Score each record's final answer against the QA pair with the same id."""
+    golds_by_id = _golds_by_id(records, qa)
     if not records:
         raise EvaluationError("no records to evaluate")
     per_item = []
@@ -211,12 +217,10 @@ def classify_errors(
     records: Sequence["SelectionRecord"], qa: Sequence[QAPair]
 ) -> tuple[list[ErrorLabel], dict[str, float]]:
     """Label every erroneous record and report category shares (summing to 1)."""
-    golds_by_id = {pair.id: pair.golden_answers for pair in qa}
+    golds_by_id = _golds_by_id(records, qa)
     labels = []
     for record in records:
-        golds = golds_by_id.get(record.id)
-        if golds is None:
-            raise EvaluationError(f"record id {record.id!r} has no matching qa pair")
+        golds = golds_by_id[record.id]
         if accuracy(record.final_answer, golds) == 0:
             labels.append(classify_error(record, golds))
     counts = Counter(label.category for label in labels)

@@ -26,7 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -272,6 +272,13 @@ class Bm25Index:
         if not (len(term_ptr) == len(terms) + 1 and len(rows) == len(tfs) == term_ptr[-1]
                 and len(lengths) == len(ids)):
             raise IndexFormatError(f"{index_dir} holds arrays of inconsistent sizes{rebuild}")
+        # Viewed as unsigned, a negative row is at least 2**31, so one max()
+        # finds a row outside [0, N) on either side.
+        if not (term_ptr[0] == 0 and (term_ptr[1:] >= term_ptr[:-1]).all()
+                and (rows.size == 0 or rows.view(np.uint32).max() < len(ids)) and lengths.min(initial=0) >= 0):
+            raise IndexFormatError(f"{index_dir} holds an out-of-range term_ptr, rows or doc_len value{rebuild}")
+        if not all(map(lt, ids, ids[1:])):
+            raise IndexFormatError(f"{path} holds ids that do not strictly ascend{rebuild}")
         return cls(k1, b, ids, Postings(terms, term_ptr, rows, tfs, lengths), corpus_path)
 
 

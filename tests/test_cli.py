@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from ragsel.cli import _SETTINGS, main
+from ragsel.retrieval import tokenize
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -276,6 +277,8 @@ def test_fewshot_file_without_three_shots_exits_one(tmp_path, capsys):
          "--script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
         (lambda t: np.save(t / "index/rows.npy", np.load(t / "index/rows.npy").astype(np.float64)),
          "retrieve --index {t}/index --query marker1", "IndexFormatError", "rebuild it with `ragsel index build`"),
+        (lambda t: np.save(t / "index/rows.npy", np.load(t / "index/rows.npy") + 100),
+         "retrieve --index {t}/index --query marker1", "IndexFormatError", "rebuild it with `ragsel index build`"),
         (lambda t: _cut(t / "corpus/passages.jsonl"), "run --mode self-select --qa {t}/qa.jsonl --index {t}/index "
          "--script {t}/script.jsonl --out {t}/out.jsonl", "CorpusError", "ingest the passages again"),
         (lambda t: _drop_last_line(t / "corpus/passages.jsonl"), "run --mode standard-rag --qa {t}/qa.jsonl "
@@ -287,7 +290,7 @@ def test_fewshot_file_without_three_shots_exits_one(tmp_path, capsys):
         (lambda t: _edit_second_record(t / "corpus/passages.jsonl", b'"text"', b'"texx"'),
          "index build --corpus {t}/corpus --out {t}/index2", "CorpusError", "ingest the passages again"),
     ],
-    ids=["index-header", "corpus-offsets", "index-rows-float64", "corpus-passages-cut-mid-line",
+    ids=["index-header", "corpus-offsets", "index-rows-float64", "index-rows-past-n", "corpus-passages-cut-mid-line",
          "corpus-passages-cut-at-line-end", "corpus-offsets-not-an-object", "corpus-record-not-json",
          "corpus-record-without-text"],
 )
@@ -429,6 +432,41 @@ class TestIndexProvenance:
         np.save(tfs, np.load(tfs) + 1)
         second = run_digests("b.jsonl")
         assert {p for p in first if first[p] != second[p]} == {str(tfs)}
+
+
+def test_index_build_total_tokens_match_brute_force(tmp_path, capsys):
+    records = [{"id": f"p{i}", "text": f"word{i} " * (i + 1) + "shared_tail, Ünïcode–text!"} for i in range(7)]
+    _write_jsonl(tmp_path / "passages.jsonl", records)
+    assert main(["corpus", "ingest", "--passages", str(tmp_path / "passages.jsonl"), "--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+    assert main(["index", "build", "--corpus", str(tmp_path / "c"), "--out", str(tmp_path / "index")]) == 0
+    built = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert built["total_tokens"] == sum(len(tokenize(r["text"])) for r in records)
+
+
+def test_a_corpus_with_an_older_stats_file_serves_every_command(tmp_path, capsys):
+    """Older releases also wrote stats.json; it changes no output and no manifest."""
+    passages_path, qa_path, script_path = _desk_inputs(tmp_path)
+    corpus_dir = tmp_path / "corpus"
+    assert main(["corpus", "ingest", "--passages", str(passages_path), "--out", str(corpus_dir)]) == 0
+
+    def outputs(tag):
+        index, results, instances = (tmp_path / f"{name}-{tag}" for name in ("index", "r.jsonl", "inst.jsonl"))
+        inputs = ["--qa", str(qa_path), "--index", str(index), "--script", str(script_path)]
+        capsys.readouterr()
+        assert main(["index", "build", "--corpus", str(corpus_dir), "--out", str(index)]) == 0
+        assert main(["run", "--mode", "self-select", *inputs, "--out", str(results)]) == 0
+        assert main(["rgp", "build", *inputs, "--out", str(instances)]) == 0
+        manifest = json.loads((tmp_path / f"r.jsonl-{tag}.manifest.json").read_text())
+        built = json.loads(capsys.readouterr().out.strip().splitlines()[0])
+        del built["out"]
+        return (built, sorted(Path(p).name for p in manifest["input_digests"]),
+                [path.read_bytes() for path in (index / "doc_len.npy", results, instances)])
+
+    before = outputs("a")
+    (corpus_dir / "stats.json").write_text('{"passage_count": "4", "total_tokens": "x"}')
+    assert outputs("b") == before
+    assert "stats.json" not in before[1]
 
 
 class TestRgpAndDpoCommands:
@@ -695,13 +733,18 @@ _PIN_CHAIN = [
     ("errors classify", "errors classify --pred {t}/r.jsonl --qa {t}/qa.jsonl --out {t}/errs.json", "errs.json"),
 ]
 _INDEX_FILES = ["doc_len.npy", "index.json", "rows.npy", "term_ptr.npy", "tfs.npy"]
-_CORPUS_FILES = ["offsets.json", "passages.jsonl", "stats.json"]
+_CORPUS_FILES = ["offsets.json", "passages.jsonl"]
 _BACKEND_CONFIG = {"endpoint_url": "", "api_key_env": "", "model_name": "default", "max_retries": 3, "max_in_flight": 4}
 # name -> (stdout JSON keys, or eval's rendered line; manifest config; seeds;
 # basenames of the digested inputs)
 _PINS = {
-    "corpus ingest": (["out", "passages", "total_tokens"], {}, {}, ["passages.jsonl", "ragsel.conf"]),
-    "index build": (["out", "passages", "terms"], {"k1": 1.5, "b": 0.75}, {}, sorted(_CORPUS_FILES + ["ragsel.conf"])),
+    "corpus ingest": (["out", "passages"], {}, {}, ["passages.jsonl", "ragsel.conf"]),
+    "index build": (
+        ["out", "passages", "terms", "total_tokens"],
+        {"k1": 1.5, "b": 0.75},
+        {},
+        sorted(_CORPUS_FILES + ["ragsel.conf"]),
+    ),
     "run": (
         ["audit", "out", "records"],
         {**_BACKEND_CONFIG, "top_k": 3, "shots": 0, "seed": 7, "budget": 0, "max_tokens": 512},
@@ -843,6 +886,44 @@ def test_bad_setting_exits_two_with_json_error(desk_index, tmp_path, capsys, mon
     last = json.loads(captured.err.strip().splitlines()[-1])
     assert last["error"] == "SettingError"
     assert last["message"].startswith(f"setting {key} = ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b"# one hit\ntop_k 1\n", "line 2: 'top_k 1' is not key = value"),
+        (b"\xff\xfetop_k = 1\n", "is not UTF-8 text"),
+    ],
+    ids=["line-without-equals", "not-utf8"],
+)
+def test_a_malformed_config_file_exits_two_with_json_error(desk_index, tmp_path, capsys, content, message):
+    """Neither is skipped: a skipped line would run with the default in its place."""
+    config = tmp_path / "ragsel.conf"
+    config.write_bytes(content)
+    capsys.readouterr()
+    assert main(["--config", str(config), "retrieve", "--index", str(desk_index / "index"), "--query", "marker1"]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    last = json.loads(captured.err.strip().splitlines()[-1])
+    assert last["error"] == "SettingError"
+    assert last["message"].startswith(f"config file {config}")
+    assert message in last["message"]
+
+
+@pytest.mark.parametrize("command", [["eval"], ["errors", "classify"]], ids=["eval", "errors-classify"])
+def test_a_results_file_that_repeats_an_id_exits_one(tmp_path, capsys, command):
+    _write_jsonl(tmp_path / "qa.jsonl", [_QA_ROW])
+    _write_jsonl(tmp_path / "r.jsonl", [_RESULT_ROW, {**_RESULT_ROW, "final_answer": "bogus 1"}])
+    out = tmp_path / "out.json"
+    argv = [*command, "--pred", str(tmp_path / "r.jsonl"), "--qa", str(tmp_path / "qa.jsonl"), "--out", str(out)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err.strip().splitlines()[-1]) == {
+        "error": "EvaluationError", "message": "records that repeat an id: ['q1']"
+    }
     assert not out.exists()
 
 

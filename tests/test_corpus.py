@@ -1,5 +1,4 @@
 import builtins
-import json
 import os
 import random
 import sys
@@ -17,7 +16,6 @@ from ragsel.corpus import (
     ingest,
 )
 from ragsel.data import MalformedRecordError
-from ragsel.retrieval import tokenize
 
 
 def test_ingest_counts_records(tmp_path):
@@ -30,7 +28,6 @@ def test_ingest_counts_records(tmp_path):
         tmp_path / "c",
     )
     assert len(handle) == 3
-    assert handle.stats.passage_count == 3
 
 
 def test_duplicate_id_rejected_with_offender(tmp_path):
@@ -68,15 +65,13 @@ def test_get_missing_id(tmp_path):
     "name, content",
     [
         ("offsets.json", '{"p1": 0, "p2'),
-        ("stats.json", '{"passage_count'),
-        ("stats.json", "{}"),
         ("passages.jsonl", '{"id": "p1", "title": "", "text": "apple pie"}\n{"id": "p2", "ti'),
         ("passages.jsonl", '{"id": "p1", "title": "", "text": "apple pie"}\n'),
         ("offsets.json", '{"p1": 0, "p2": "47"}'),
         ("offsets.json", "[0, 47]"),
     ],
-    ids=["offsets-cut", "stats-cut", "stats-without-counts", "passages-cut-mid-line", "passages-cut-at-line-end",
-         "offsets-string-offset", "offsets-list"],
+    ids=["offsets-cut", "passages-cut-mid-line", "passages-cut-at-line-end", "offsets-string-offset",
+         "offsets-list"],
 )
 def test_open_refuses_an_undecodable_file(tmp_path, name, content):
     ingest([{"id": "p1", "text": "apple pie"}, {"id": "p2", "text": "tart"}], tmp_path / "c")
@@ -218,27 +213,17 @@ def test_get_opens_no_file(tmp_path, monkeypatch):
         assert handle.get(f"p{i % 60}").id == f"p{i % 60}"
 
 
-def test_stats_match_brute_force(tmp_path):
-    records = [
-        {"id": f"p{i}", "text": f"word{i} " * (i + 1) + "shared tail"} for i in range(7)
-    ]
-    handle = ingest(records, tmp_path / "c")
-    expected_tokens = sum(len(tokenize(r["text"])) for r in records)
-    assert handle.stats.total_tokens == expected_tokens
-    assert handle.stats.avg_doc_len * handle.stats.passage_count == expected_tokens
-
-
 def test_empty_corpus_stats(tmp_path):
     handle = ingest([], tmp_path / "c")
-    assert handle.stats.passage_count == 0
-    assert handle.stats.avg_doc_len == 0
+    assert len(handle) == 0
+    assert list(handle) == []
 
 
 def test_ingest_order_independent(tmp_path):
     records = [{"id": f"p{i}", "text": f"text number {i} with filler"} for i in range(5)]
     forward = ingest(records, tmp_path / "fwd")
     backward = ingest(list(reversed(records)), tmp_path / "bwd")
-    assert forward.stats == backward.stats
+    assert len(forward) == len(backward)
     for record in records:
         assert forward.get(record["id"]) == backward.get(record["id"])
 
@@ -269,12 +254,27 @@ def test_failed_ingest_leaves_nothing_behind(tmp_path):
     assert len(ingest([{"id": "p1", "text": "ok"}], tmp_path / "c")) == 1
 
 
-def test_stats_file_is_exact_rational(tmp_path):
-    handle = ingest(
-        [{"id": "p1", "text": "one two three"}, {"id": "p2", "text": "four five"}],
-        tmp_path / "c",
-    )
-    raw = json.loads((tmp_path / "c" / "stats.json").read_text())
-    num, den = raw["avg_doc_len"]
-    assert (num, den) == (5, 2)
-    assert handle.stats.avg_doc_len == handle.stats.total_tokens / handle.stats.passage_count
+def test_ingest_writes_passages_and_offsets_only(tmp_path):
+    handle = ingest([{"id": "p1", "text": "apple pie"}], tmp_path / "c")
+    assert sorted(p.name for p in (tmp_path / "c").iterdir()) == ["offsets.json", "passages.jsonl"]
+    assert handle.input_files() == [tmp_path / "c" / "passages.jsonl", tmp_path / "c" / "offsets.json"]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        '{"passage_count": 2, "total_tokens": 3, "avg_doc_len": [3, 2]}',
+        '{"passage_count',
+        '{"passage_count": "2", "total_tokens": "3", "avg_doc_len": [3, 2]}',
+    ],
+    ids=["valid", "cut", "string-counts"],
+)
+def test_an_older_stats_file_is_ignored(tmp_path, content):
+    """Older releases also wrote stats.json; such a corpus still opens, and
+    the file is neither read nor listed among the corpus's inputs."""
+    ingest([{"id": "p1", "text": "apple pie"}, {"id": "p2", "text": "tart"}], tmp_path / "c")
+    (tmp_path / "c" / "stats.json").write_text(content)
+    handle = Corpus(tmp_path / "c")
+    assert [p.text for p in handle] == ["apple pie", "tart"]
+    assert handle.get("p2").text == "tart"
+    assert "stats.json" not in [p.name for p in handle.input_files()]

@@ -181,6 +181,15 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="missing"):
             evaluate(records, qa)
 
+    def test_repeated_ids_error(self):
+        """Two records for one item would count it twice."""
+        records = [_record("q1", "gold"), _record("q1", "nope")]
+        qa = [QAPair(id="q1", question="?", golden_answers=["gold"])]
+        with pytest.raises(EvaluationError, match=r"records that repeat an id: \['q1'\]"):
+            evaluate(records, qa)
+        with pytest.raises(EvaluationError, match=r"records that repeat an id: \['q1'\]"):
+            classify_errors(records, qa)
+
     def test_render_one_decimal(self):
         records = [_record("a", "gold"), _record("b", "nope")]
         qa = [

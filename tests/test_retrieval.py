@@ -68,6 +68,13 @@ def _edit_header(index_dir, **fields):
     path.write_text(json.dumps({**json.loads(path.read_text()), **fields}))
 
 
+def _edit_array(index_dir, name, position, value):
+    path = index_dir / f"{name}.npy"
+    array = np.load(path)
+    array[position] = value
+    np.save(path, array)
+
+
 def brute_force_rank(docs, query, k1, b, top_k):
     scores = brute_force_bm25(docs, tokenize(query), k1, b)
     ranked = sorted(((p, s) for p, s in scores.items() if s > 0), key=lambda x: (-x[1], x[0]))
@@ -222,10 +229,20 @@ class TestBm25:
             lambda idx: _edit_header(idx, ids="012"),  # as long as the three ids, so sizes agree
             lambda idx: np.save(idx / "rows.npy", np.load(idx / "rows.npy").astype(np.float64)),
             lambda idx: _edit_header(idx, corpus_path=5),
+            # Sizes and dtypes agree in these, so only a value check finds them.
+            lambda idx: _edit_array(idx, "rows", 0, 7),  # once an IndexError from retrieve
+            lambda idx: _edit_array(idx, "rows", -1, 3),
+            lambda idx: _edit_array(idx, "rows", 0, -1),
+            lambda idx: _edit_array(idx, "term_ptr", 0, 1),
+            lambda idx: _edit_array(idx, "term_ptr", 1, 4),  # [0, 4, 3, 4, 5, 6]
+            lambda idx: _edit_array(idx, "doc_len", 0, -1),
+            lambda idx: _edit_header(idx, ids=["doc0", "doc0", "doc0"]),  # once three hits of one passage
+            lambda idx: _edit_header(idx, ids=["doc2", "doc1", "doc0"]),
         ],
         ids=[
             "header-cut", "header-without-ids", "rows-junk", "rows-cut", "k1-text", "ids-not-list", "rows-float64",
-            "corpus-path-int",
+            "corpus-path-int", "rows-7", "rows-n", "rows-negative", "term-ptr-from-1", "term-ptr-decreasing",
+            "doc-len-negative", "ids-repeated", "ids-descending",
         ],
     )
     def test_load_refuses_an_undecodable_file(self, tiny_corpus, tmp_path, damage):
