@@ -52,7 +52,7 @@ class NeighborSet:
     neighbors: list[tuple[str, float]]  # (query_id, similarity), best first
 
 
-@dataclass
+@dataclass(slots=True)
 class DpoPair(Record):
     prompt: str  # the rendered selection prompt, holding both responses
     chosen: str

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .data import MalformedRecordError, read_jsonl
+from .data import FieldTypeError, MalformedRecordError, encode_json, read_jsonl
 from .errors import RagselError
 
 PASSAGES_FILE = "passages.jsonl"
@@ -144,7 +144,8 @@ def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:
     """Persist a stream of passage records and return a read handle.
 
     `source` is either a path to a JSONL file of {"id", "title"?, "text"}
-    records or an iterable of such dicts.
+    records or an iterable of such dicts. Each value is a string; a title may
+    also be null or absent, and reads as "".
 
     Ingest is single-writer: it fails rather than amend an existing corpus.
     `out_dir` must be missing or an empty directory. The corpus is built in a
@@ -174,14 +175,18 @@ def _write_corpus(source: str | Path | Iterable[dict], root: Path) -> None:
         for ordinal, record in records:
             if not isinstance(record, dict) or "id" not in record or "text" not in record:
                 raise MalformedRecordError(ordinal, "record must carry id and text fields")
-            pid = str(record["id"])
-            text = record["text"]
-            if not isinstance(text, str) or not text.strip():
+            pid, title, text = record["id"], record.get("title"), record["text"]
+            if not isinstance(pid, str):
+                raise MalformedRecordError(ordinal, str(FieldTypeError("str", pid, "id")))
+            if not (title is None or isinstance(title, str)):
+                raise MalformedRecordError(ordinal, str(FieldTypeError("str or null", title, "title")))
+            if not isinstance(text, str):
+                raise MalformedRecordError(ordinal, str(FieldTypeError("str", text, "text")))
+            if not text.strip():
                 raise EmptyTextError(ordinal, pid)
             if pid in offsets:
                 raise DuplicatePassageError(pid)
-            title = str(record.get("title", "") or "")
-            line = json.dumps({"id": pid, "title": title, "text": text}, ensure_ascii=False)
+            line = encode_json({"id": pid, "title": title or "", "text": text})
             encoded = line.encode("utf-8") + b"\n"
             offsets[pid] = position
             fh.write(encoded)

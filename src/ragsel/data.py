@@ -18,6 +18,10 @@ from .errors import RagselError
 
 T = TypeVar("T")
 
+# One encoder for every per-row JSON line, since `json.dumps` with a keyword
+# builds a new encoder per call; it writes what `json.dumps(row, ensure_ascii=False)` writes.
+encode_json = json.JSONEncoder(ensure_ascii=False).encode
+
 
 class MalformedRecordError(RagselError):
     """A JSONL line is not a JSON object, lacks a field, or holds a value its loader cannot use."""
@@ -164,7 +168,7 @@ def _plan(cls: type[Record]) -> tuple[tuple[str, Callable[[Any], Any] | None, Ca
     return tuple((f.name, *_codec(hints[f.name])) for f in fields(cls))
 
 
-@dataclass
+@dataclass(slots=True)
 class QAPair(Record):
     """A query with its golden answer(s); aliases are alternative accepted strings."""
 
@@ -191,7 +195,7 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
     """Write one JSON object per line, whole or not at all (`write_atomic`);
     returns the number of rows written."""
-    return write_atomic(path, (json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+    return write_atomic(path, (encode_json(row) + "\n" for row in rows))
 
 
 def write_atomic(path: str | Path, lines: Iterable[str]) -> int:
@@ -213,18 +217,23 @@ def write_atomic(path: str | Path, lines: Iterable[str]) -> int:
     return n
 
 
-def read_records(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
-    """`parse` applied to each record of a JSONL file, the one reader of every
-    JSONL input. A line `parse` cannot use is a MalformedRecordError naming the
-    line: a missing field (`KeyError`) or a bad value (`TypeError`, `ValueError`).
+def iter_records(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:
+    """`parse` applied to each record of a JSONL file, one at a time: the one
+    decoder of every JSONL input. A line `parse` cannot use is a
+    MalformedRecordError naming the line: a missing field (`KeyError`) or a
+    bad value (`TypeError`, `ValueError`).
     """
-    records = []
     for line_no, obj in read_jsonl(path):
         try:
-            records.append(parse(obj))
+            record = parse(obj)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedRecordError(line_no, decode_failure(exc)) from exc
-    return records
+        yield record
+
+
+def read_records(path: str | Path, parse: Callable[[dict], T]) -> list[T]:
+    """Every record of a JSONL file, decoded by `iter_records`."""
+    return list(iter_records(path, parse))
 
 
 def decode_failure(exc: KeyError | TypeError | ValueError) -> str:

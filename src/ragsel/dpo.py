@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .augment import DpoPair
-from .data import Record, read_records, write_jsonl
+from .data import Record, iter_records, read_records, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
 from .pipeline import fill_template, load_template
@@ -44,7 +44,7 @@ class DpoConfig:
 _LOGPROB_FIELDS = ("logp_policy_chosen", "logp_ref_chosen", "logp_policy_rejected", "logp_ref_rejected")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogProbRecord(Record):
     pair_id: str
     logp_policy_chosen: float
@@ -135,6 +135,8 @@ def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> Expo
     Each prompt must hold chosen and rejected in the candidate slots of the
     packaged selection template, in the recorded order.
     Any invariant violation aborts before a single line is written.
+    The check decodes the written lines one at a time, each compared with the
+    pair it was written from, so it holds no second copy of the pairs.
     """
     if not pairs:
         raise DpoError("no pairs to export")
@@ -143,9 +145,13 @@ def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> Expo
         _validate_pair(pair, ordinal, stretch)
     out = Path(out_path)
     write_jsonl(out, (pair.to_dict() for pair in pairs))
-    reread = load_pairs(out)
-    if len(reread) != len(pairs):
-        raise DpoError(f"re-read validation failed: wrote {len(pairs)} pairs, read {len(reread)}")
+    read = 0
+    for read, decoded in enumerate(iter_records(out, DpoPair.from_dict), start=1):
+        if read <= len(pairs) and decoded != pairs[read - 1]:
+            raise DpoError(f"re-read validation failed: pair {read} (queries {pairs[read - 1].source_query_ids}) "
+                           "does not read back as written")
+    if read != len(pairs):
+        raise DpoError(f"re-read validation failed: wrote {len(pairs)} pairs, read {read}")
     by_origin: dict[str, int] = {}
     for pair in pairs:
         by_origin[pair.negative_origin] = by_origin.get(pair.negative_origin, 0) + 1

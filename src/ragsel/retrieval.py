@@ -279,7 +279,10 @@ class Bm25Index:
             raise IndexFormatError(f"{index_dir} holds an out-of-range term_ptr, rows or doc_len value{rebuild}")
         if not all(map(lt, ids, ids[1:])):
             raise IndexFormatError(f"{path} holds ids that do not strictly ascend{rebuild}")
-        return cls(k1, b, ids, Postings(terms, term_ptr, rows, tfs, lengths), corpus_path)
+        postings = Postings(terms, term_ptr, rows, tfs, lengths)
+        if len(postings._term_id) != len(terms):  # a repeated term would find only its last postings
+            raise IndexFormatError(f"{path} holds a term listed more than once{rebuild}")
+        return cls(k1, b, ids, postings, corpus_path)
 
 
 def _all_str(values: object) -> bool:

@@ -71,7 +71,7 @@ class Judgment:
     judge_tag: str  # lexical | llm
 
 
-@dataclass
+@dataclass(slots=True)
 class Response(Record):
     """An (answer, explanation) pair, detached from how it was produced."""
 

@@ -252,6 +252,13 @@ def _edit_second_record(path, old, new):
     path.write_bytes(b"".join(lines))
 
 
+def _repeat_a_term(path):
+    """Rename every term of the index header to one term, keeping the arrays."""
+    header = json.loads(path.read_text())
+    header["terms"] = ["tart"] * len(header["terms"])
+    path.write_text(json.dumps(header))
+
+
 def test_fewshot_file_without_three_shots_exits_one(tmp_path, capsys):
     """An exemplar file at shots 0 was once ignored, yet digested in the manifest."""
     _passages_path, qa_path, script_path = _desk_inputs(tmp_path)
@@ -289,15 +296,17 @@ def test_fewshot_file_without_three_shots_exits_one(tmp_path, capsys):
          "index build --corpus {t}/corpus --out {t}/index2", "CorpusError", "ingest the passages again"),
         (lambda t: _edit_second_record(t / "corpus/passages.jsonl", b'"text"', b'"texx"'),
          "index build --corpus {t}/corpus --out {t}/index2", "CorpusError", "ingest the passages again"),
+        (lambda t: _repeat_a_term(t / "index/index.json"), "retrieve --index {t}/index --query marker1",
+         "IndexFormatError", "rebuild it with `ragsel index build`"),
     ],
     ids=["index-header", "corpus-offsets", "index-rows-float64", "index-rows-past-n", "corpus-passages-cut-mid-line",
          "corpus-passages-cut-at-line-end", "corpus-offsets-not-an-object", "corpus-record-not-json",
-         "corpus-record-without-text"],
+         "corpus-record-without-text", "index-term-repeated"],
 )
 def test_truncated_index_or_corpus_file_exits_one_with_json_error(tmp_path, capsys, damage, argv, error, hint):
     """A crash while writing leaves a cut file, a foreign tool may save an
-    array of another dtype, and a hand edit may damage one passage record;
-    reading any of them is one error line, not a traceback."""
+    array of another dtype, and a hand edit may damage one passage record or
+    repeat an index term; reading any of them is one error line, not a traceback."""
     passages_path, _qa, _script = _desk_inputs(tmp_path)
     assert main(["corpus", "ingest", "--passages", str(passages_path), "--out", str(tmp_path / "corpus")]) == 0
     assert main(["index", "build", "--corpus", str(tmp_path / "corpus"), "--out", str(tmp_path / "index")]) == 0

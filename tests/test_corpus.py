@@ -15,7 +15,7 @@ from ragsel.corpus import (
     PassageNotFoundError,
     ingest,
 )
-from ragsel.data import MalformedRecordError
+from ragsel.data import MalformedRecordError, write_jsonl
 
 
 def test_ingest_counts_records(tmp_path):
@@ -48,6 +48,31 @@ def test_malformed_line_rejected_with_line_number(tmp_path):
     with pytest.raises(MalformedRecordError) as excinfo:
         ingest(src, tmp_path / "c")
     assert excinfo.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "record, message",
+    [
+        ({"id": None, "text": "apple pie"}, "field 'id' must be str, got null"),
+        ({"id": 5, "text": "tart"}, "field 'id' must be str, got int"),
+        ({"id": "a", "title": 7, "text": "tart"}, "field 'title' must be str or null, got int"),
+        ({"id": "a", "text": 5}, "field 'text' must be str, got int"),
+        ({"id": "a", "text": ["apple"]}, "field 'text' must be str, got list"),
+    ],
+    ids=["id-null", "id-int", "title-int", "text-int", "text-list"],
+)
+def test_a_value_that_is_not_a_string_is_malformed(tmp_path, record, message):
+    src = tmp_path / "passages.jsonl"
+    write_jsonl(src, [{"id": "p1", "text": "ok"}, record])
+    with pytest.raises(MalformedRecordError) as excinfo:
+        ingest(src, tmp_path / "c")
+    assert str(excinfo.value) == f"line 2: {message}"
+    assert not (tmp_path / "c").exists()
+
+
+def test_a_null_or_absent_title_reads_as_empty(tmp_path):
+    handle = ingest([{"id": "a", "title": None, "text": "x"}, {"id": "b", "text": "y"}], tmp_path / "c")
+    assert [passage.title for passage in handle] == ["", ""]
 
 
 def test_get_round_trip(tmp_path):

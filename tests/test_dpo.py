@@ -1,13 +1,15 @@
 import json
 import math
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ragsel.dpo as dpo_module
 from ragsel.augment import DpoPair
-from ragsel.data import MalformedRecordError
+from ragsel.data import MalformedRecordError, write_jsonl
 from ragsel.dpo import (
     DpoConfig,
     DpoError,
@@ -244,6 +246,40 @@ class TestExport:
         assert set(row) == {
             "prompt", "chosen", "rejected", "order", "negative_origin", "source_query_ids",
         }
+
+    @pytest.mark.parametrize(
+        "alter, message",
+        [
+            (lambda rows: [row if i != 1 else {**row, "rejected": row["rejected"] + "!"} for i, row in enumerate(rows)],
+             r"pair 2 \(queries \('q1', 'q1'\)\) does not read back as written"),
+            (lambda rows: rows[:-1], "wrote 3 pairs, read 2"),
+            (lambda rows: rows + rows[-1:], "wrote 3 pairs, read 4"),
+        ],
+        ids=["one-line-altered", "one-line-lost", "one-line-added"],
+    )
+    def test_a_file_altered_between_write_and_check_is_refused(self, tmp_path, monkeypatch, alter, message):
+        monkeypatch.setattr(dpo_module, "write_jsonl", lambda path, rows: write_jsonl(path, alter(list(rows))))
+        with pytest.raises(DpoError, match=f"re-read validation failed: {message}"):
+            export_training_file([_pair(i) for i in range(3)], tmp_path / "pairs.jsonl")
+
+    def test_the_check_holds_no_copy_of_the_pairs(self, tmp_path):
+        """The re-read check decodes one line at a time: export's traced peak
+        stays far below what the decoded file takes."""
+        pairs = [_pair(i, order="chosen_first" if i % 2 else "rejected_first") for i in range(2000)]
+        export_training_file(pairs, tmp_path / "a.jsonl")  # loads the template, plans the codec
+        tracemalloc.start()
+        try:
+            loaded = load_pairs(tmp_path / "a.jsonl")
+            decoded_size = tracemalloc.get_traced_memory()[0]
+            del loaded
+            tracemalloc.reset_peak()
+            baseline = tracemalloc.get_traced_memory()[0]
+            export_training_file(pairs, tmp_path / "b.jsonl")
+            export_peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert export_peak < 0.1 * decoded_size
+        assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
 
 class TestLogProbFile:

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragsel.augment import AugmentReport, DpoPair
-from ragsel.data import MalformedRecordError, load_qa_file, write_jsonl
-from ragsel.dpo import ExportSummary, load_logprob_file
+from ragsel.data import MalformedRecordError, QAPair, encode_json, load_qa_file, write_jsonl
+from ragsel.dpo import ExportSummary, LogProbRecord, load_logprob_file
 from ragsel.evaluation import ItemMetrics, MetricReport
 from ragsel.manifest import RunManifest
 from ragsel.pipeline import CandidateResponse, SelectionRecord, load_records
@@ -267,3 +267,26 @@ def test_logprobs_given_as_json_integers_read_as_floats(tmp_path):
     write_jsonl(path, [{**_LOGPROBS, "logp_ref_chosen": -2}])
     (record,) = load_logprob_file(path)
     assert type(record.logp_ref_chosen) is float and record.logp_ref_chosen == -2.0
+
+
+def test_the_shared_encoder_writes_what_json_dumps_writes():
+    for record in _examples().values():
+        assert encode_json(record.to_dict()) == json.dumps(record.to_dict(), ensure_ascii=False)
+
+
+@pytest.mark.parametrize(
+    "record, row",
+    [
+        (QAPair(**_QA), _QA),
+        (Response("Paris", "why"), {"answer": "Paris", "explanation": "why"}),
+        (_examples()["pair"], json.loads(LAYOUT["pair"])),
+        (LogProbRecord(**_LOGPROBS), _LOGPROBS),
+    ],
+    ids=["qa", "response", "pair", "logprobs"],
+)
+def test_the_bulk_records_hold_no_instance_dict(record, row):
+    """Slotted: each record holds only its fields, and reads and writes the
+    same rows as before."""
+    assert not hasattr(record, "__dict__")
+    assert record.to_dict() == row
+    assert type(record).from_dict(json.loads(encode_json(row))) == record
