@@ -103,10 +103,11 @@ def mine_neighbors(dataset: Sequence[PreferenceInstance], k: int) -> dict[str, N
     k = min(k, m - 1)
     out: dict[str, NeighborSet] = {}
     for i in range(m):
-        dots = postings.dots(Counter(tokens[i]))
+        # Exact in float64: every dot product is an integer sum far below 2**53.
+        dots = postings.row_sums([tokens[i]], postings.tfs)[0]
         sims = np.divide(dots, norms[i] * norms, out=np.zeros(m), where=dots > 0)
         sims[i] = -np.inf
-        best = top_k_positions(sims, id_rank, k)
+        _row, best = top_k_positions(sims[None], id_rank, k, -np.inf)
         out[ids[i]] = NeighborSet(query_id=ids[i], neighbors=[(ids[j], float(sims[j])) for j in best])
     return out
 

@@ -26,6 +26,7 @@ import http.client
 import json
 import math
 import os
+import random
 import re
 import threading
 import time
@@ -172,6 +173,8 @@ class ScriptedBackend:
 _RETRYABLE_STATUSES = {429, 500, 502, 503, 504}
 _RETRY_AFTER_STATUSES = {429, 503}
 _DELAY_SECONDS = re.compile(r"[0-9]+")
+# Backoff jitter: unseeded, so processes that fail together do not retry together.
+_JITTER = random.Random()
 
 
 @functools.cache
@@ -217,9 +220,10 @@ def _post_json(url: str, body: dict, *, api_key_env: str | None = None, max_retr
 
     A bearer token is sent when the variable named by `api_key_env` is set.
     Connection errors, timeouts, truncated replies and 429/5xx are retried up
-    to `max_retries` more times with exponential backoff; a 429 or 503 that
+    to `max_retries` more times with full-jitter exponential backoff: retry n
+    waits a uniform draw from [0, backoff_base * 2**(n - 1)]. A 429 or 503 that
     carries `Retry-After: <seconds>` waits for the longer of that and the
-    backoff. Other non-200 statuses fail at once. Only http and https URLs
+    draw. Other non-200 statuses fail at once. Only http and https URLs
     are opened.
     `slots`, when given, caps the requests in flight across its sharers.
     """
@@ -237,7 +241,7 @@ def _post_json(url: str, body: dict, *, api_key_env: str | None = None, max_retr
     last_transport, last_status, asked_wait = "unknown transport failure", None, 0.0
     for attempt in range(max_retries + 1):
         if attempt:
-            time.sleep(max(backoff_base * (2 ** (attempt - 1)), asked_wait))
+            time.sleep(max(_JITTER.uniform(0.0, backoff_base * (2 ** (attempt - 1))), asked_wait))
         request = urllib.request.Request(url, data=data, headers=headers, method="POST")
         try:
             with slots or contextlib.nullcontext():

@@ -277,18 +277,17 @@ def gen_retrieved_answer(
     backend: Backend,
     prompts: PromptSet,
     question: str,
-    index,
+    hits: Sequence[tuple[str, float]],
     corpus,
-    top_k: int,
     *,
     budget: int | None = None,
     max_tokens: int = 512,
 ) -> tuple[CandidateResponse, list[str]] | None:
-    """Retrieve the top_k passages, fetch them and answer from them as
-    gen_rag_answer does. Returns None, with no backend call, when retrieval
-    finds nothing: each caller has its own policy for an item without passages.
+    """Fetch the passages of retrieval hits, best first, and answer from them
+    as gen_rag_answer does. Returns None, with no backend call, when there
+    are no hits: each caller has its own policy for an item without passages.
     """
-    passages = [corpus.get(pid) for pid, _score in index.retrieve(question, top_k).hits]
+    passages = [corpus.get(pid) for pid, _score in hits]
     if not passages:
         return None
     return gen_rag_answer(backend, prompts, question, passages, budget=budget, max_tokens=max_tokens)
@@ -435,7 +434,7 @@ def run_dataset(
                 )
             if mode == MODE_STANDARD_RAG:
                 retrieved = gen_retrieved_answer(
-                    backend, prompts, qa.question, index, corpus, top_k,
+                    backend, prompts, qa.question, index.retrieve(qa.question, top_k).hits, corpus,
                     budget=budget, max_tokens=max_tokens,
                 )
                 if retrieved is None:
@@ -452,7 +451,7 @@ def run_dataset(
                     passages_used=used,
                 )
             retrieved = gen_retrieved_answer(
-                backend, prompts, qa.question, index, corpus, top_k,
+                backend, prompts, qa.question, index.retrieve(qa.question, top_k).hits, corpus,
                 budget=budget, max_tokens=max_tokens,
             )
             internal = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)

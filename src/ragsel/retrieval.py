@@ -11,12 +11,14 @@ once per occurrence). This idf form is never negative, so every score is
 scoring 0 are excluded from results rather than padded.
 
 Each posting's term score ("impact", idf times the tf part) is computed once
-per index, on first use, with the formula's IEEE operations in its order. A
-query is then one float64 `np.bincount` of its terms' impacts over CSR
-postings (`Postings`), in query-token order, so every passage's score is the
-same sequence of additions as the per-document formula. Impacts are not
-stored: an index directory holds `index.json` (format, version, k1, b,
-passage ids, terms) and one `.npy` file per array in `INDEX_ARRAYS`.
+per index, on first use, with the formula's IEEE operations in its order.
+Queries are scored a block at a time, at most `SCORE_BUDGET` scores per block:
+one float64 `np.bincount` of every query's term impacts over CSR postings
+(`Postings`), query b's at bins `row + b * N`, in query-token order, so every
+passage's score is the same sequence of additions as the per-document
+formula, whatever the block. Impacts are not stored: an index directory holds
+`index.json` (format, version, k1, b, passage ids, terms) and one `.npy` file
+per array in `INDEX_ARRAYS`.
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from __future__ import annotations
 import json
 import math
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from operator import itemgetter, lt
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -39,6 +43,7 @@ INDEX_FILE = "index.json"
 INDEX_FORMAT = "ragsel-bm25-index"
 INDEX_VERSION = 2
 INDEX_ARRAYS = {"term_ptr": np.int64, "rows": np.int32, "tfs": np.int32, "doc_len": np.int32}  # name -> dtype
+SCORE_BUDGET = 2**15  # scores per block of queries in Bm25Index.retrieve_many
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -119,39 +124,67 @@ class Postings:
         np.cumsum(np.bincount(keys // n, minlength=len(vocab)), out=term_ptr[1:])
         return cls(list(vocab), term_ptr, (keys % n).astype(np.int32), tfs.astype(np.int32), lengths)
 
-    def span(self, term: str) -> slice | None:
-        """Where a term's postings lie in `rows` and `tfs`, or None when no row holds it."""
-        t = self._term_id.get(term)
-        return None if t is None else slice(self.term_ptr[t], self.term_ptr[t + 1])
-
-    def row_sums(self, rows: Iterable[np.ndarray], weights: Iterable[np.ndarray]) -> np.ndarray:
-        """Float64 sum of the weights by row, adding each row's weights in the
-        order given: one `np.bincount` over the concatenated slices."""
-        rows, weights = np.concatenate([_NO_ROWS, *rows]), np.concatenate([_NO_WEIGHTS, *weights])
-        return np.bincount(rows, weights, minlength=len(self.lengths))
-
-    def dots(self, counts: dict[str, int]) -> np.ndarray:
-        """Dot product of a term-count vector with every row's count vector.
-
-        Float64, but exact: every value is an integer sum far below 2**53.
-        """
-        hits = [(span, n) for span, n in zip(map(self.span, counts), counts.values()) if span is not None]
-        return self.row_sums((self.rows[span] for span, _ in hits), (self.tfs[span] * n for span, n in hits))
+    def row_sums(self, token_lists: Sequence[list[str]], weights: np.ndarray) -> np.ndarray:
+        """Float64 sums of per-posting `weights` by row, one row of sums per
+        token list: each token adds its term's weights to the rows that hold
+        it, in token order, all in one `np.bincount` (list b's at bins
+        `row + b * len(lengths)`). A token that no row holds adds nothing."""
+        n, term_id, ptr = len(self.lengths), self._term_id, self.term_ptr
+        if len(token_lists) == 1:
+            # One list gathers its postings by slices: fewer NumPy calls over
+            # posting-sized arrays, each of which releases the GIL that
+            # run_dataset's item threads share. Same sums, in the same order.
+            spans = [slice(ptr[t], ptr[t + 1]) for t in map(term_id.get, token_lists[0]) if t is not None]
+            rows = np.concatenate([_NO_ROWS, *(self.rows[span] for span in spans)])
+            values = np.concatenate([_NO_WEIGHTS, *(weights[span] for span in spans)])
+            return np.bincount(rows, values, minlength=n)[None]
+        terms, owners = [], []  # each known token's term, and the first bin of its list
+        for b, tokens in enumerate(token_lists):
+            known = [t for t in map(term_id.get, tokens) if t is not None]
+            terms += known
+            owners += [b * n] * len(known)
+        terms = np.array(terms, dtype=np.intp)
+        stops = ptr[terms + 1]
+        sizes = stops - ptr[terms]
+        # Every token's postings, one token after another: start + 0, 1, ..., size - 1.
+        where = np.arange(sizes.sum())
+        where += np.repeat(stops - np.cumsum(sizes), sizes)
+        values, bins = weights[where], self.rows[where]
+        del where  # one posting-sized array fewer alive during the bincount
+        # Bins are int32 like `rows`: a caller keeps lists times rows below 2**31.
+        bins += np.repeat(np.array(owners, dtype=np.int32), sizes)
+        return np.bincount(bins, values, minlength=len(token_lists) * n).reshape(len(token_lists), n)
 
 
 _NO_ROWS = np.empty(0, dtype=np.int32)
 _NO_WEIGHTS = np.empty(0)
+_LEAST_POSITIVE = float(np.nextafter(0.0, 1.0))  # scores > 0 are scores >= this
 
 
-def top_k_positions(scores: np.ndarray, rank: np.ndarray, k: int) -> np.ndarray:
-    """Positions of the k highest scores, best first, equal scores by ascending rank."""
-    n = len(scores)
+def _queries_per_block(n_passages: int) -> int:
+    """How many queries `Bm25Index.retrieve_many` scores at once over
+    n_passages: as many as `SCORE_BUDGET` scores hold, and at least one."""
+    return max(1, SCORE_BUDGET // max(n_passages, 1))
+
+
+def top_k_positions(scores: np.ndarray, rank: np.ndarray | None, k: int,
+                    least: float) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k highest scores that are at least `least`, best first,
+    equal scores by ascending rank (by column when rank is None). Returns the
+    (row, column) pairs as two arrays, row by row."""
+    n = scores.shape[1]
     if 0 < k < n:
-        kth = np.partition(scores, n - k)[n - k]
-        keep = np.flatnonzero(scores >= kth)
-    else:
-        keep = np.arange(n)
-    return keep[np.lexsort((rank[keep], -scores[keep]))[:k]]
+        least = np.maximum(np.partition(scores, n - k, axis=1)[:, n - k, None], least)
+    pos = np.flatnonzero(scores >= least)
+    rows, cols = np.divmod(pos, n)
+    neg = -scores.ravel()[pos]
+    # lexsort is stable and pos ascends, so without a rank equal scores keep column order.
+    order = np.lexsort((neg, rows) if rank is None else (rank[cols], neg, rows))
+    rows, cols = rows[order], cols[order]
+    if len(rows) > k:  # else no row holds more than k
+        best = np.arange(len(rows)) - np.searchsorted(rows, rows) < k
+        rows, cols = rows[best], cols[best]
+    return rows, cols
 
 
 class Bm25Index:
@@ -192,21 +225,26 @@ class Bm25Index:
         impacts /= denominators
         return impacts
 
-    def _scores(self, query_tokens: list[str]) -> np.ndarray:
-        p, impacts = self.postings, self.impacts
-        spans = [span for span in map(p.span, query_tokens) if span is not None]
-        return p.row_sums((p.rows[span] for span in spans), (impacts[span] for span in spans))
+    def retrieve_many(self, queries: Iterable[str], top_k: int) -> Iterator[RetrievalResult]:
+        """`retrieve` for each query, in order. Takes `_queries_per_block(N)`
+        queries at a time from `queries`, scores them together, and yields
+        their results before it takes the next block."""
+        if top_k < 1:
+            raise ValueError("top_k must be >= 1")
+        queries, step = iter(queries), _queries_per_block(self.N)
+        while block := list(islice(queries, step)):
+            scores = self.postings.row_sums([tokenize(query) for query in block], self.impacts)
+            rows, cols = top_k_positions(scores, None, top_k, _LEAST_POSITIVE)
+            # Cut into hit lists in Python: NumPy calls cost more than they save on a one-query block.
+            rows, cols = rows.tolist(), cols.tolist()
+            hits = [(self.ids[c], float(scores[r, c])) for r, c in zip(rows, cols)]
+            bounds = [bisect_left(rows, b) for b in range(len(block) + 1)]
+            for query, a, b in zip(block, bounds, bounds[1:]):
+                yield RetrievalResult(query=query, hits=hits[a:b], retriever_tag="bm25")
 
     def retrieve(self, query: str, top_k: int) -> RetrievalResult:
         """Top-k positive-scoring passages, best first, ties by ascending id."""
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
-        scores = self._scores(tokenize(query))
-        rows = np.flatnonzero(scores > 0.0)
-        best = rows[top_k_positions(scores[rows], rows, top_k)]
-        return RetrievalResult(
-            query=query, hits=[(self.ids[r], float(scores[r])) for r in best], retriever_tag="bm25"
-        )
+        return next(self.retrieve_many([query], top_k))
 
     def save(self, out_dir: str | Path) -> Path:
         out = Path(out_dir)

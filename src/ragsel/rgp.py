@@ -4,12 +4,13 @@ answer, and keep only the disagreements, pairing the correct response as
 positive with the incorrect one as negative.
 
 The number of passages fed to the grounded candidate is drawn uniformly from
-1..5 per query, seeded so rebuilds are byte-identical. Both candidates come
-from pipeline's gen_llm_answer and gen_retrieved_answer, the memory-only one
-first. Judging is either lexical (deterministic: normalized equality or
-containment of a gold) or delegated to a model answering Yes/No. An item
-whose generation or judging fails is quarantined with its reason, and the
-batch always completes.
+1..MAX_PASSAGES per query, seeded so rebuilds are byte-identical, and taken
+from the top of that query's BM25 hits; build retrieves the hits for a block
+of questions at once. Both candidates come from pipeline's gen_llm_answer and
+gen_retrieved_answer, the memory-only one first. Judging is either lexical
+(deterministic: normalized equality or containment of a gold) or delegated
+to a model answering Yes/No. An item whose generation or judging fails is
+quarantined with its reason, and the batch always completes.
 """
 
 from __future__ import annotations
@@ -36,9 +37,11 @@ from .pipeline import (
     gen_retrieved_answer,
     load_template,
 )
+from .retrieval import RetrievalResult
 
 JUDGE_LEXICAL = "lexical"
 JUDGE_LLM = "llm"
+MAX_PASSAGES = 5  # the most passages a grounded candidate sees, and the hits retrieved per query
 
 _VERDICT_RE = re.compile(r"\b(yes|no)\b", re.IGNORECASE)
 
@@ -116,7 +119,7 @@ class PreferenceInstance(Record):
 
 def generate_candidates(
     qa: QAPair,
-    index,
+    hits: Sequence[tuple[str, float]],
     corpus: Corpus,
     backend: Backend,
     prompts: PromptSet,
@@ -124,20 +127,21 @@ def generate_candidates(
     *,
     max_tokens: int = 512,
 ) -> CandidateBundle:
-    """Produce both candidates for one query.
+    """Produce both candidates for one query from its retrieval hits, best
+    first (its top MAX_PASSAGES).
 
     The two requests run_dataset makes for self-selection, in the other
     order: the memory-only one goes first, and its error wins when both fail.
     rng_seed alone fixes how many passages the grounded candidate sees
-    (uniform on 1..5, capped by what retrieval returns). No passages, or a
+    (uniform on 1..MAX_PASSAGES, capped by the hits). No passages, or a
     generation failure, is recorded on the bundle as its error, which build
     quarantines.
     """
-    n_requested = random.Random(rng_seed).randint(1, 5)
+    n_requested = random.Random(rng_seed).randint(1, MAX_PASSAGES)
     try:
         internal = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)
         retrieved = gen_retrieved_answer(
-            backend, prompts, qa.question, index, corpus, n_requested, max_tokens=max_tokens
+            backend, prompts, qa.question, hits[:n_requested], corpus, max_tokens=max_tokens
         )
     except (GatewayError, RagselError) as exc:
         return CandidateBundle(qa=qa, error=f"{type(exc).__name__}: {exc}")
@@ -234,7 +238,9 @@ def build(
 ) -> tuple[list[PreferenceInstance], BuildReport]:
     """Map generate (through pipeline._map_items) -> judge -> filter over the
     QA set, judging each bundle in input order as it arrives; the llm judge
-    asks `backend`, the same backend that generated the candidates.
+    asks `backend`, the same backend that generated the candidates. The
+    questions are retrieved a block at a time (`index.retrieve_many`), as
+    the items are taken, so one block's hits are held at once.
 
     Per-item failures (generation errors, judge backend errors, unparseable
     judge verdicts) are quarantined with reasons; the batch always completes.
@@ -244,13 +250,15 @@ def build(
     report = BuildReport(total=len(qa_set), judge_tag=judge_mode)
     instances: list[PreferenceInstance] = []
 
-    def candidates(qa: QAPair) -> CandidateBundle:
+    def candidates(item: tuple[QAPair, RetrievalResult]) -> CandidateBundle:
+        qa, result = item
         return generate_candidates(
-            qa, index, corpus, backend, prompts, rng_seed=stable_hash_int(seed, qa.id),
+            qa, result.hits, corpus, backend, prompts, rng_seed=stable_hash_int(seed, qa.id),
             max_tokens=max_tokens,
         )
 
-    for qa, bundle in zip(qa_set, _map_items(candidates, qa_set, backend)):
+    retrieved = zip(qa_set, index.retrieve_many((qa.question for qa in qa_set), MAX_PASSAGES))
+    for qa, bundle in zip(qa_set, _map_items(candidates, retrieved, backend)):
         if not bundle.usable:
             report.quarantined += 1
             report.quarantine_reasons.append(f"{qa.id}: {bundle.error}")

@@ -86,7 +86,9 @@ class TestGenRetrievedAnswer:
     def test_no_hits_returns_none_without_a_call(self, tmp_path):
         corpus, index = _shared_topic(tmp_path)
         backend = ScriptedBackend({})  # any call would raise ScriptMissError
-        assert gen_retrieved_answer(backend, PromptSet.default(), "offtopic zzz", index, corpus, 5) is None
+        assert gen_retrieved_answer(
+            backend, PromptSet.default(), "offtopic zzz", index.retrieve("offtopic zzz", 5).hits, corpus
+        ) is None
 
     def test_run_dataset_passes_its_budget_to_the_stage(self, tmp_path):
         corpus, index = _shared_topic(tmp_path)
@@ -217,7 +219,8 @@ def test_in_process_backend_keeps_the_serial_call_order(tmp_path):
     assert "Candidate 2:" in spy.prompts[2] and len(spy.prompts) == 3
 
     spy.prompts.clear()
-    bundle = rgp.generate_candidates(qa, index, corpus, spy, prompts, rng_seed=5)
+    hits = index.retrieve(qa.question, rgp.MAX_PASSAGES).hits
+    bundle = rgp.generate_candidates(qa, hits, corpus, spy, prompts, rng_seed=5)
     used = [corpus.get(pid) for pid, _s in index.retrieve(qa.question, bundle.n_passages_used).hits]
     assert spy.prompts == [prompts.llm_only_prompt(qa.question), prompts.rag_prompt(qa.question, used)]
 
@@ -337,5 +340,6 @@ def test_when_both_requests_fail_the_serial_error_is_recorded(tmp_path, http_stu
     qa = QAPair(id="q1", question="shared topic?", golden_answers=["right"])
     (record,) = run_dataset(MODE_SELF_SELECT, [qa], backend, PromptSet.default(), index=index, corpus=corpus)
     assert record.error == f"StatusError: HTTP 404 from {http_stub.url}"
-    bundle = rgp.generate_candidates(qa, index, corpus, backend, PromptSet.default(), rng_seed=5)
+    hits = index.retrieve(qa.question, rgp.MAX_PASSAGES).hits
+    bundle = rgp.generate_candidates(qa, hits, corpus, backend, PromptSet.default(), rng_seed=5)
     assert bundle.error == f"StatusError: HTTP 400 from {http_stub.url}"

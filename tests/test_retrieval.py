@@ -3,21 +3,28 @@ import math
 import random
 from collections import Counter
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import make_corpus
+from ragsel import retrieval
 from ragsel.corpus import ingest
 from ragsel.retrieval import (
     Bm25Index,
     EmptyCorpusError,
     IndexFormatError,
+    Postings,
     RetrievalConfig,
     INDEX_VERSION,
     build_index,
     index_files,
     tokenize,
 )
+from ragsel.rgp import MAX_PASSAGES
 
 
 class TestTokenize:
@@ -328,6 +335,69 @@ class TestBm25Oracle:
         assert index.retrieve("v1 v2 v3", 5).hits
 
 
+_WORDS = ["w0", "w1", "w2", "w3"]
+
+
+@st.composite
+def _block_cases(draw):
+    """A small corpus whose texts repeat under several ids (so scores tie),
+    queries that repeat tokens, hold an unknown one or are empty, and how
+    many queries a block holds: fewer than the queries, so they span blocks."""
+    texts = draw(st.lists(st.lists(st.sampled_from(_WORDS), min_size=1, max_size=5), min_size=1, max_size=4))
+    docs = {f"d{i:02d}": draw(st.sampled_from(texts)) for i in range(draw(st.integers(1, 10)))}
+    queries = draw(st.lists(st.lists(st.sampled_from([*_WORDS, "unknown"]), max_size=5).map(" ".join),
+                            min_size=1, max_size=8))
+    queries.insert(draw(st.integers(0, len(queries))), "")
+    return docs, queries, draw(st.integers(1, len(queries) - 1))
+
+
+def _index(docs):
+    return Bm25Index(1.2, 0.75, list(docs), Postings.build(list(docs.values())))
+
+
+class TestBlockScorer:
+    """`retrieve_many` scores a block of queries per `np.bincount`; each
+    query's hits equal the brute-force oracle's, whatever block it lands in."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(_block_cases())
+    @example(({"d00": ["w0"], "d01": ["w0", "w1"], "d02": ["w0"]}, ["w0", "w1 w1", "", "unknown w0"], 1))
+    def test_blocks_match_brute_force_for_every_k(self, case):
+        docs, queries, per_block = case
+        index = _index(docs)
+        with mock.patch.object(retrieval, "SCORE_BUDGET", per_block * index.N):
+            assert retrieval._queries_per_block(index.N) == per_block < len(queries)
+            for k in range(1, index.N + 2):
+                results = list(index.retrieve_many(queries, k))
+                assert [r.query for r in results] == queries
+                assert [r.hits for r in results] == [brute_force_rank(docs, q, 1.2, 0.75, k) for q in queries]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_block_cases())
+    def test_a_shorter_list_is_a_prefix_of_the_longer(self, case):
+        docs, queries, _per_block = case
+        index = _index(docs)
+        for query in queries:
+            longest = index.retrieve(query, MAX_PASSAGES).hits
+            for n in range(1, MAX_PASSAGES + 1):
+                assert index.retrieve(query, n).hits == longest[:n]
+
+    def test_no_queries_no_results(self, tiny_corpus):
+        assert list(build_index(tiny_corpus).retrieve_many([], 5)) == []
+
+    def test_an_index_without_passages_finds_nothing(self):
+        # `Bm25Index.load` accepts a header whose ids are an empty list.
+        assert [r.hits for r in _index({}).retrieve_many(["apple", ""], 5)] == [[], []]
+
+    def test_top_k_below_one_is_refused(self, tiny_corpus):
+        with pytest.raises(ValueError, match="top_k must be >= 1"):
+            next(build_index(tiny_corpus).retrieve_many(["apple"], 0))
+
+    def test_a_block_is_at_least_one_query(self):
+        assert retrieval._queries_per_block(retrieval.SCORE_BUDGET * 4) == 1
+        assert retrieval._queries_per_block(500) == retrieval.SCORE_BUDGET // 500
+
+
 class TestImpacts:
     """Per-posting term scores, computed once per index and summed per query."""
 
@@ -342,7 +412,7 @@ class TestImpacts:
     def test_score_equals_brute_force_with_a_term_in_every_passage(self, tmp_path):
         corpus, docs, vocab = self._corpus(tmp_path)
         index = build_index(corpus)
-        assert len(index.postings.rows[index.postings.span("every")]) == index.N
+        assert np.diff(index.postings.term_ptr)[index.postings.terms.index("every")] == index.N
         rng = random.Random(3)
         for _ in range(40):
             # Repeated tokens count once per use; "absent" occurs in no passage.

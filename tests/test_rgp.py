@@ -1,14 +1,18 @@
 import itertools
+import json
 import random
+from unittest import mock
 
 import pytest
 
 from conftest import make_corpus
+from ragsel import retrieval
 from ragsel.data import QAPair
 from ragsel.llm import ScriptedBackend
 from ragsel.pipeline import CandidateResponse, PromptSet, SOURCE_INTERNAL, SOURCE_RETRIEVAL
 from ragsel.retrieval import build_index
 from ragsel.rgp import (
+    MAX_PASSAGES,
     CandidateBundle,
     JudgeError,
     Judgment,
@@ -126,6 +130,11 @@ def _script(n, internal_right, grounded_right):
     return ScriptedBackend(script)
 
 
+def _hits(index, qa):
+    """The hits `build` hands generate_candidates for one item."""
+    return index.retrieve(qa.question, MAX_PASSAGES).hits
+
+
 class TestGenerateCandidates:
     def test_seed_fixes_passage_count(self, tmp_path):
         # Every passage shares the query term, so all 5 are retrievable and
@@ -145,7 +154,7 @@ class TestGenerateCandidates:
                 return "Explanation: e. Answer: a"
 
         target = next(s for s in itertools.count() if random.Random(s).randint(1, 5) == 3)
-        bundle = generate_candidates(qa, index, corpus, Spy(), PromptSet.default(), target)
+        bundle = generate_candidates(qa, _hits(index, qa), corpus, Spy(), PromptSet.default(), target)
         assert bundle.n_passages_used == 3
         assert "[3]" in seen["rag_prompt"] and "[4]" not in seen["rag_prompt"]
 
@@ -153,13 +162,13 @@ class TestGenerateCandidates:
         corpus, index, qa = _fixture(tmp_path)
         backend = _script(6, {1}, {1})
         target = next(s for s in itertools.count() if random.Random(s).randint(1, 5) == 3)
-        bundle = generate_candidates(qa[0], index, corpus, backend, PromptSet.default(), target)
+        bundle = generate_candidates(qa[0], _hits(index, qa[0]), corpus, backend, PromptSet.default(), target)
         assert bundle.n_passages_used == 1  # only one passage matches marker1
 
     def test_fields_come_from_script(self, tmp_path):
         corpus, index, qa = _fixture(tmp_path)
         backend = _script(6, {1}, set())
-        bundle = generate_candidates(qa[0], index, corpus, backend, PromptSet.default(), 0)
+        bundle = generate_candidates(qa[0], _hits(index, qa[0]), corpus, backend, PromptSet.default(), 0)
         assert bundle.usable
         assert bundle.internal.answer == "gadget 1"
         assert bundle.grounded.answer == "bogus grounded 1"
@@ -167,16 +176,89 @@ class TestGenerateCandidates:
     def test_equal_seeds_equal_bundles(self, tmp_path):
         corpus, index, qa = _fixture(tmp_path)
         backend = _script(6, {1, 2}, {2, 3})
-        first = generate_candidates(qa[1], index, corpus, backend, PromptSet.default(), 99)
-        second = generate_candidates(qa[1], index, corpus, backend, PromptSet.default(), 99)
+        first = generate_candidates(qa[1], _hits(index, qa[1]), corpus, backend, PromptSet.default(), 99)
+        second = generate_candidates(qa[1], _hits(index, qa[1]), corpus, backend, PromptSet.default(), 99)
         assert first == second
 
     def test_generation_error_marks_bundle_unusable(self, tmp_path):
         corpus, index, qa = _fixture(tmp_path)
         backend = ScriptedBackend({"nothing matches": "irrelevant"})
-        bundle = generate_candidates(qa[0], index, corpus, backend, PromptSet.default(), 0)
+        bundle = generate_candidates(qa[0], _hits(index, qa[0]), corpus, backend, PromptSet.default(), 0)
         assert not bundle.usable
         assert "ScriptMissError" in bundle.error
+
+
+class _CountingIndex:
+    """An index that counts `retrieve` and `retrieve_many` calls, and logs
+    each question `retrieve_many` takes ("q") and each result it yields ("r")."""
+
+    def __init__(self, index):
+        self._index = index
+        self.retrieves = 0
+        self.many_calls = 0
+        self.events = []
+
+    def retrieve(self, query, top_k):
+        self.retrieves += 1
+        return self._index.retrieve(query, top_k)
+
+    def retrieve_many(self, queries, top_k):
+        self.many_calls += 1
+
+        def taken():
+            for query in queries:
+                self.events.append("q")
+                yield query
+
+        for result in self._index.retrieve_many(taken(), top_k):
+            self.events.append("r")
+            yield result
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
+
+
+def _blocks_fixture(tmp_path, n_qa=10):
+    """Every passage shares two question words, so each question has all 8
+    passages as hits and the seeded draw decides how many it sees. Question
+    i's own passage (item i % 8) ranks first, and its grounded answer is
+    right only when that passage is in its prompt."""
+    records = [{"id": f"d{j}", "text": f"shared topic item{j} {'detail ' * j}gadget {j}"} for j in range(8)]
+    corpus = make_corpus(tmp_path, records, "blocks")
+    qa = [QAPair(id=f"q{i:02d}", question=f"shared topic item{i % 8} key{i:02d}?",
+                 golden_answers=[f"gadget {i % 8}"]) for i in range(n_qa)]
+    script = {}
+    for i in range(n_qa):
+        own = f"gadget {i % 8}"
+        script[f"using your own knowledge&&key{i:02d}"] = f"Explanation: m. Answer: {own if i % 2 else 'no'}"
+        script[f"using the passages&&key{i:02d}"] = "Explanation: p. Answer: no"
+        script[f"using the passages&&key{i:02d}&&{own}"] = f"Explanation: p. Answer: {own}"
+    return corpus, build_index(corpus), qa, script
+
+
+class TestBuildRetrievesInBlocks:
+    def _build(self, index, corpus, qa, script, cap):
+        backend = ScriptedBackend(script)
+        backend.max_in_flight = cap  # an in-process backend that runs `cap` items at once
+        instances, report = build(qa, index, corpus, backend, PromptSet.default(), seed=3)
+        return json.dumps([inst.to_dict() for inst in instances]), json.dumps(report.to_dict())
+
+    @pytest.mark.parametrize("cap", [1, 4])
+    def test_build_scores_its_questions_in_blocks(self, tmp_path, cap):
+        corpus, index, qa, script = _blocks_fixture(tmp_path)
+        with mock.patch.object(retrieval, "SCORE_BUDGET", index.N):  # one question per block
+            expected = self._build(index, corpus, qa, script, 1)
+        counting = _CountingIndex(index)
+        with mock.patch.object(retrieval, "SCORE_BUDGET", 3 * index.N):  # three questions per block
+            got = self._build(counting, corpus, qa, script, cap)
+        assert (counting.retrieves, counting.many_calls) == (0, 1)
+        # Blocks of three, each taken only once the one before it is used up.
+        assert "".join(counting.events) == "qqqrrr" * 3 + "qr"
+        assert got == expected
+        instances, report = map(json.loads, got)
+        # Every grounded answer saw its own passage: the even items are kept, retrieval-positive.
+        assert report["kept_positive_retrieval"] == 5 and report["both_correct"] == 5
+        assert len({inst["meta"]["n_passages"] for inst in instances}) > 1
 
 
 class TestBuild:

@@ -4,6 +4,7 @@ connections, injected through the loopback StubServer."""
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,11 +18,30 @@ from ragsel.llm import GenRequest, HttpBackend, StatusError, TransportError
 TOKEN_ENV = "RAGSEL_TEST_API_TOKEN"
 
 
+class _TopOfRange:
+    """A jitter source whose every draw is the top of its range."""
+
+    def uniform(self, low, high):
+        return high
+
+
 @pytest.fixture
 def sleeps(monkeypatch):
-    """Backoff waits, recorded instead of slept."""
+    """Backoff waits, recorded instead of slept, with every jitter draw at the
+    top of its range: retry n waits the longer of 0.25 * 2**(n - 1) and
+    Retry-After. `TestFullJitter` covers the draws themselves."""
     slept = []
     monkeypatch.setattr("ragsel.llm.time.sleep", slept.append)
+    monkeypatch.setattr("ragsel.llm._JITTER", _TopOfRange())
+    return slept
+
+
+@pytest.fixture
+def jittered(monkeypatch):
+    """Backoff waits, recorded instead of slept, drawn from a seeded source."""
+    slept = []
+    monkeypatch.setattr("ragsel.llm.time.sleep", slept.append)
+    monkeypatch.setattr("ragsel.llm._JITTER", random.Random(7))
     return slept
 
 
@@ -50,6 +70,41 @@ class TestDefaultRetries:
             _ask(http_stub.url)
         assert http_stub.hits == 4
         assert sleeps == [0.25, 0.5, 1.0]
+
+
+class TestFullJitter:
+    def test_each_wait_is_drawn_from_zero_to_its_cap(self, http_stub, jittered):
+        http_stub.enqueue(500, {})
+        with pytest.raises(StatusError, match="HTTP 500 after 9 attempt"):
+            _ask(http_stub.url, max_retries=8, backoff_base=0.5)
+        assert http_stub.hits == 9
+        caps = [0.5 * 2 ** n for n in range(8)]
+        assert len(jittered) == len(caps)
+        assert all(0.0 <= wait <= cap for wait, cap in zip(jittered, caps))
+        assert all(wait < cap for wait, cap in zip(jittered, caps))  # a draw, not the cap
+
+    @pytest.mark.parametrize("retry_after, floor", [("3", 3.0), ("0", 0.0)])
+    def test_retry_after_is_a_floor_under_the_draw(self, http_stub, jittered, retry_after, floor):
+        http_stub.enqueue_raw(
+            f"HTTP/1.0 429 Busy\r\nRetry-After: {retry_after}\r\nContent-Length: 0\r\n\r\n".encode()
+        )
+        http_stub.enqueue(503, {})
+        http_stub.enqueue(200, chat_body("done"))
+        assert _ask(http_stub.url) == "done"
+        assert http_stub.hits == 3
+        first, second = jittered
+        assert floor <= first <= max(floor, 0.25)
+        assert 0.0 <= second <= 0.5
+
+    def test_two_processes_draw_different_waits(self):
+        src = Path(ragsel.__file__).resolve().parents[1]
+        draw = [sys.executable, "-c", "import ragsel.llm as llm; print(llm._JITTER.uniform(0.0, 1.0))"]
+        first, second = (
+            subprocess.run(draw, env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True, text=True,
+                           timeout=60, check=True).stdout
+            for _ in range(2)
+        )
+        assert first != second
 
 
 def test_chat_reply_that_is_not_json_is_a_status_error(http_stub):
