@@ -12,13 +12,12 @@ import functools
 import json
 import os
 import shutil
-import uuid
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .data import FieldTypeError, MalformedRecordError, encode_json, read_jsonl
+from .data import FieldTypeError, MalformedRecordError, encode_json, read_jsonl, temp_sibling
 from .errors import RagselError
 
 PASSAGES_FILE = "passages.jsonl"
@@ -156,7 +155,7 @@ def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise CorpusError(f"{out} is not an empty directory; ingest will not write into it")
     out.parent.mkdir(parents=True, exist_ok=True)
-    staging = out.parent / f".{out.name}.{uuid.uuid4().hex}.tmp"
+    staging = temp_sibling(out)
     staging.mkdir()
     try:
         _write_corpus(source, staging)

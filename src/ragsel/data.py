@@ -203,8 +203,7 @@ def write_atomic(path: str | Path, lines: Iterable[str]) -> int:
     a crash mid-write leaves no file at `path` rather than part of the text,
     and a file already there as it was. The file gets the same permissions a
     plain write would give it. Returns the number of lines written."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp = temp_sibling(Path(path))
     n = 0
     try:
         with open(tmp, "x", encoding="utf-8") as fh:
@@ -215,6 +214,11 @@ def write_atomic(path: str | Path, lines: Iterable[str]) -> int:
         tmp.unlink(missing_ok=True)
         raise
     return n
+
+
+def temp_sibling(path: Path) -> Path:
+    """A fresh hidden name beside `path`, to build what is renamed to it."""
+    return path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
 
 
 def iter_records(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:

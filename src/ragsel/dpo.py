@@ -17,12 +17,13 @@ exported JSONL.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
 from .augment import DpoPair
-from .data import Record, iter_records, read_records, write_jsonl
+from .data import Record, iter_records, read_records, temp_sibling, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
 from .pipeline import fill_template, load_template
@@ -130,7 +131,8 @@ def _validate_pair(pair: DpoPair, ordinal: int, stretch: str) -> None:
 
 
 def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> ExportSummary:
-    """Validate every pair, write the JSONL, and re-read it as a final check.
+    """Validate every pair, write the JSONL beside `out_path`, re-read it as a
+    final check, and only then rename it over `out_path`.
 
     Each prompt must hold chosen and rejected in the candidate slots of the
     packaged selection template, in the recorded order.
@@ -144,17 +146,20 @@ def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> Expo
     for ordinal, pair in enumerate(pairs, start=1):
         _validate_pair(pair, ordinal, stretch)
     out = Path(out_path)
-    write_jsonl(out, (pair.to_dict() for pair in pairs))
-    read = 0
-    for read, decoded in enumerate(iter_records(out, DpoPair.from_dict), start=1):
-        if read <= len(pairs) and decoded != pairs[read - 1]:
-            raise DpoError(f"re-read validation failed: pair {read} (queries {pairs[read - 1].source_query_ids}) "
-                           "does not read back as written")
-    if read != len(pairs):
-        raise DpoError(f"re-read validation failed: wrote {len(pairs)} pairs, read {read}")
-    by_origin: dict[str, int] = {}
-    for pair in pairs:
-        by_origin[pair.negative_origin] = by_origin.get(pair.negative_origin, 0) + 1
+    staged = temp_sibling(out)
+    try:
+        write_jsonl(staged, (pair.to_dict() for pair in pairs))
+        read = 0
+        for read, decoded in enumerate(iter_records(staged, DpoPair.from_dict), start=1):
+            if read <= len(pairs) and decoded != pairs[read - 1]:
+                raise DpoError(f"re-read validation failed: pair {read} (queries {pairs[read - 1].source_query_ids}) "
+                               "does not read back as written")
+        if read != len(pairs):
+            raise DpoError(f"re-read validation failed: wrote {len(pairs)} pairs, read {read}")
+        staged.replace(out)
+    finally:
+        staged.unlink(missing_ok=True)
+    by_origin = dict(Counter(pair.negative_origin for pair in pairs))  # in order of first occurrence
     return ExportSummary(total=len(pairs), by_origin=by_origin, path=str(out))
 
 

@@ -25,6 +25,7 @@ import string
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -33,6 +34,7 @@ from .data import QAPair, Record, decode_failure, read_records, stable_hash_int,
 from .errors import RagselError
 from .evaluation import normalize
 from .llm import Backend, GatewayError, GenRequest, in_flight_cap
+from .retrieval import RetrievalResult
 
 SOURCE_INTERNAL = "internal"
 SOURCE_RETRIEVAL = "retrieval"
@@ -405,14 +407,16 @@ def run_dataset(
     """One SelectionRecord per QA pair, in input order, whatever happens.
 
     Items run through _map_items, as many at once as the backend takes
-    requests (llm.in_flight_cap). llm_only records carry no grounded
-    candidate; standard_rag records carry no internal candidate and the final
-    answer is the grounded one, from gen_retrieved_answer. self_select asks
-    for the grounded candidate first and the memory-only one second (the
-    reverse of rgp.generate_candidates), then asks the model to pick. When
-    retrieval finds nothing, the grounded slot falls back to the memory-only
-    answer (in self_select, the internal candidate itself, with no second
-    call) and passages_used stays empty. Per-item failures land in the
+    requests (llm.in_flight_cap), each with its hits: as in rgp.build, the
+    questions are retrieved a block at a time (`index.retrieve_many`) as the
+    items are taken, and llm_only retrieves nothing. llm_only records carry no
+    grounded candidate; standard_rag records carry no internal candidate and
+    the final answer is the grounded one, from gen_retrieved_answer.
+    self_select asks for the grounded candidate first and the memory-only one
+    second (the reverse of rgp.generate_candidates), then asks the model to
+    pick. When retrieval finds nothing, the grounded slot falls back to the
+    memory-only answer (in self_select, the internal candidate itself, with no
+    second call) and passages_used stays empty. Per-item failures land in the
     record's error field and never abort the batch.
     """
     if mode not in MODES:
@@ -420,7 +424,8 @@ def run_dataset(
     if mode in (MODE_STANDARD_RAG, MODE_SELF_SELECT) and (index is None or corpus is None):
         raise PipelineError(f"mode {mode} requires an index and a corpus")
 
-    def one(qa: QAPair) -> SelectionRecord:
+    def one(item: tuple[QAPair, RetrievalResult | None]) -> SelectionRecord:
+        qa, result = item
         try:
             if mode == MODE_LLM_ONLY:
                 cand = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)
@@ -432,11 +437,10 @@ def run_dataset(
                     final_explanation=cand.explanation,
                     chosen_source=SOURCE_INTERNAL,
                 )
+            retrieved = gen_retrieved_answer(
+                backend, prompts, qa.question, result.hits, corpus, budget=budget, max_tokens=max_tokens
+            )
             if mode == MODE_STANDARD_RAG:
-                retrieved = gen_retrieved_answer(
-                    backend, prompts, qa.question, index.retrieve(qa.question, top_k).hits, corpus,
-                    budget=budget, max_tokens=max_tokens,
-                )
                 if retrieved is None:
                     retrieved = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens), []
                 grounded, used = retrieved
@@ -450,10 +454,6 @@ def run_dataset(
                     presentation_order=ORDER_RETRIEVAL_FIRST,
                     passages_used=used,
                 )
-            retrieved = gen_retrieved_answer(
-                backend, prompts, qa.question, index.retrieve(qa.question, top_k).hits, corpus,
-                budget=budget, max_tokens=max_tokens,
-            )
             internal = gen_llm_answer(backend, prompts, qa.question, max_tokens=max_tokens)
             grounded, used = retrieved or (internal, [])
             return select(
@@ -467,13 +467,11 @@ def run_dataset(
                 max_tokens=max_tokens,
             )
         except (GatewayError, RagselError) as exc:
-            return SelectionRecord(
-                id=qa.id,
-                query=qa.question,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            return SelectionRecord(id=qa.id, query=qa.question, error=f"{type(exc).__name__}: {exc}")
 
-    return list(_map_items(one, qa_pairs, backend))
+    questions = (qa.question for qa in qa_pairs)
+    results = repeat(None) if mode == MODE_LLM_ONLY else index.retrieve_many(questions, top_k)
+    return list(_map_items(one, zip(qa_pairs, results), backend))
 
 
 def audit_selection(records: Sequence[SelectionRecord]) -> dict:

@@ -127,17 +127,10 @@ class Postings:
     def row_sums(self, token_lists: Sequence[list[str]], weights: np.ndarray) -> np.ndarray:
         """Float64 sums of per-posting `weights` by row, one row of sums per
         token list: each token adds its term's weights to the rows that hold
-        it, in token order, all in one `np.bincount` (list b's at bins
+        it, in token order. One position array gathers every token's
+        postings, and one `np.bincount` sums them (list b's at bins
         `row + b * len(lengths)`). A token that no row holds adds nothing."""
         n, term_id, ptr = len(self.lengths), self._term_id, self.term_ptr
-        if len(token_lists) == 1:
-            # One list gathers its postings by slices: fewer NumPy calls over
-            # posting-sized arrays, each of which releases the GIL that
-            # run_dataset's item threads share. Same sums, in the same order.
-            spans = [slice(ptr[t], ptr[t + 1]) for t in map(term_id.get, token_lists[0]) if t is not None]
-            rows = np.concatenate([_NO_ROWS, *(self.rows[span] for span in spans)])
-            values = np.concatenate([_NO_WEIGHTS, *(weights[span] for span in spans)])
-            return np.bincount(rows, values, minlength=n)[None]
         terms, owners = [], []  # each known token's term, and the first bin of its list
         for b, tokens in enumerate(token_lists):
             known = [t for t in map(term_id.get, tokens) if t is not None]
@@ -156,8 +149,6 @@ class Postings:
         return np.bincount(bins, values, minlength=len(token_lists) * n).reshape(len(token_lists), n)
 
 
-_NO_ROWS = np.empty(0, dtype=np.int32)
-_NO_WEIGHTS = np.empty(0)
 _LEAST_POSITIVE = float(np.nextafter(0.0, 1.0))  # scores > 0 are scores >= this
 
 
@@ -304,6 +295,8 @@ class Bm25Index:
             raise IndexFormatError(f"{path} holds a bad k1 or b ({exc}){rebuild}") from exc
         if not (_all_str(ids) and _all_str(terms)):
             raise IndexFormatError(f"{path} holds ids or terms that are not lists of strings{rebuild}")
+        if not ids:  # build_index refuses an empty corpus, so no index it wrote is empty
+            raise IndexFormatError(f"{path} indexes no passages{rebuild}")
         corpus_path = header.get("corpus_path")
         if not isinstance(corpus_path, (str, type(None))):
             raise IndexFormatError(f"{path} holds a corpus_path that is not a string{rebuild}")

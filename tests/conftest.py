@@ -1,5 +1,5 @@
-"""Shared fixtures: a loopback HTTP stub for chat endpoints and
-small corpus builders."""
+"""Shared fixtures: a loopback HTTP stub for chat endpoints, small corpus
+builders and an index that counts its retrieval calls."""
 
 from __future__ import annotations
 
@@ -138,6 +138,36 @@ def tiny_corpus(tmp_path):
 
 def make_corpus(tmp_path, records, name="corpus"):
     return corpus_mod.ingest(records, tmp_path / name)
+
+
+class CountingIndex:
+    """An index that counts `retrieve` and `retrieve_many` calls, and logs
+    each question `retrieve_many` takes ("q") and each result it yields ("r")."""
+
+    def __init__(self, index):
+        self._index = index
+        self.retrieves = 0
+        self.many_calls = 0
+        self.events = []
+
+    def retrieve(self, query, top_k):
+        self.retrieves += 1
+        return self._index.retrieve(query, top_k)
+
+    def retrieve_many(self, queries, top_k):
+        self.many_calls += 1
+
+        def taken():
+            for query in queries:
+                self.events.append("q")
+                yield query
+
+        for result in self._index.retrieve_many(taken(), top_k):
+            self.events.append("r")
+            yield result
+
+    def __getattr__(self, name):
+        return getattr(self._index, name)
 
 
 class _DiskFullMidWrite:

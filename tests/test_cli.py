@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ragsel.cli import _SETTINGS, main
-from ragsel.retrieval import tokenize
+from ragsel.retrieval import Bm25Index, Postings, tokenize
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -298,10 +298,12 @@ def test_fewshot_file_without_three_shots_exits_one(tmp_path, capsys):
          "index build --corpus {t}/corpus --out {t}/index2", "CorpusError", "ingest the passages again"),
         (lambda t: _repeat_a_term(t / "index/index.json"), "retrieve --index {t}/index --query marker1",
          "IndexFormatError", "rebuild it with `ragsel index build`"),
+        (lambda t: Bm25Index(1.2, 0.75, [], Postings.build([])).save(t / "index"),
+         "retrieve --index {t}/index --query marker1", "IndexFormatError", "rebuild it with `ragsel index build`"),
     ],
     ids=["index-header", "corpus-offsets", "index-rows-float64", "index-rows-past-n", "corpus-passages-cut-mid-line",
          "corpus-passages-cut-at-line-end", "corpus-offsets-not-an-object", "corpus-record-not-json",
-         "corpus-record-without-text", "index-term-repeated"],
+         "corpus-record-without-text", "index-term-repeated", "index-empty"],
 )
 def test_truncated_index_or_corpus_file_exits_one_with_json_error(tmp_path, capsys, damage, argv, error, hint):
     """A crash while writing leaves a cut file, a foreign tool may save an

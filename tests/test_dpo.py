@@ -259,8 +259,15 @@ class TestExport:
     )
     def test_a_file_altered_between_write_and_check_is_refused(self, tmp_path, monkeypatch, alter, message):
         monkeypatch.setattr(dpo_module, "write_jsonl", lambda path, rows: write_jsonl(path, alter(list(rows))))
+        out = tmp_path / "pairs.jsonl"
         with pytest.raises(DpoError, match=f"re-read validation failed: {message}"):
-            export_training_file([_pair(i) for i in range(3)], tmp_path / "pairs.jsonl")
+            export_training_file([_pair(i) for i in range(3)], out)
+        assert list(tmp_path.iterdir()) == []  # neither the unchecked file nor its .tmp sibling
+        out.write_bytes(b'{"earlier": "export"}\n')
+        with pytest.raises(DpoError, match=f"re-read validation failed: {message}"):
+            export_training_file([_pair(i) for i in range(3)], out)
+        assert list(tmp_path.iterdir()) == [out]
+        assert out.read_bytes() == b'{"earlier": "export"}\n'
 
     def test_the_check_holds_no_copy_of_the_pairs(self, tmp_path):
         """The re-read check decodes one line at a time: export's traced peak

@@ -1,11 +1,14 @@
+import json
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_corpus
+from conftest import CountingIndex, make_corpus
+from ragsel import retrieval
 from ragsel.augment import ORDER_CHOSEN_FIRST, expand
 from ragsel.corpus import Passage
 from ragsel.data import QAPair
@@ -15,6 +18,7 @@ from ragsel.pipeline import (
     MODE_LLM_ONLY,
     MODE_SELF_SELECT,
     MODE_STANDARD_RAG,
+    MODES,
     ORDER_INTERNAL_FIRST,
     ORDER_RETRIEVAL_FIRST,
     PromptSet,
@@ -328,6 +332,52 @@ def _desk_fixture(tmp_path):
         )
     backend = ScriptedBackend(script)
     return corpus, index, qa, backend
+
+
+def _blocks_fixture(tmp_path, n_qa=10):
+    """Question i asks about topic i, which passage d{i} holds for i < 8;
+    the last two questions find no passage. The memory answer is right on
+    the odd items, the grounded one always, and the selector picks it."""
+    records = [{"id": f"d{j}", "text": f"topic{j} holds the value gadget {j}"} for j in range(8)]
+    corpus = make_corpus(tmp_path, records, "blocks")
+    qa = [QAPair(id=f"q{i:02d}", question=f"What about topic{i} key{i:02d}?", golden_answers=[f"gadget {i}"])
+          for i in range(n_qa)]
+    script = {}
+    for i in range(n_qa):
+        script[f"using your own knowledge&&key{i:02d}"] = \
+            f"Explanation: memory. Answer: {f'gadget {i}' if i % 2 else 'bogus'}"
+        script[f"using the passages&&key{i:02d}"] = f"Explanation: passages. Answer: gadget {i}"
+        script[f"two candidate responses&&key{i:02d}"] = f"Explanation: pick. Answer: gadget {i}"
+    return corpus, build_index(corpus), qa, script
+
+
+class TestRunRetrievesInBlocks:
+    def _run(self, mode, index, corpus, qa, script, cap):
+        backend = ScriptedBackend(script)
+        backend.max_in_flight = cap  # an in-process backend that runs `cap` items at once
+        records = run_dataset(mode, qa, backend, PromptSet.default(), index=index, corpus=corpus, order_seed=3)
+        return json.dumps([record.to_dict() for record in records])
+
+    @pytest.mark.parametrize("cap", [1, 4])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_run_scores_its_questions_in_blocks(self, tmp_path, mode, cap):
+        corpus, index, qa, script = _blocks_fixture(tmp_path)
+        with mock.patch.object(retrieval, "SCORE_BUDGET", index.N):  # one question per block
+            expected = self._run(mode, index, corpus, qa, script, 1)
+        counting = CountingIndex(index)
+        with mock.patch.object(retrieval, "SCORE_BUDGET", 3 * index.N):  # three questions per block
+            got = self._run(mode, counting, corpus, qa, script, cap)
+        if mode == MODE_LLM_ONLY:
+            assert (counting.retrieves, counting.many_calls, counting.events) == (0, 0, [])
+        else:
+            assert (counting.retrieves, counting.many_calls) == (0, 1)
+            # Blocks of three, each taken only once the one before it is used up.
+            assert "".join(counting.events) == "qqqrrr" * 3 + "qr"
+        assert got == expected
+        records = json.loads(got)
+        assert not any(record["error"] for record in records)
+        if mode != MODE_LLM_ONLY:
+            assert [record["passages_used"] for record in records] == [[f"d{i}"] for i in range(8)] + [[], []]
 
 
 class TestRunDataset:

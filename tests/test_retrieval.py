@@ -245,11 +245,12 @@ class TestBm25:
             lambda idx: _edit_array(idx, "doc_len", 0, -1),
             lambda idx: _edit_header(idx, ids=["doc0", "doc0", "doc0"]),  # once three hits of one passage
             lambda idx: _edit_header(idx, ids=["doc2", "doc1", "doc0"]),
+            lambda idx: Bm25Index(1.2, 0.75, [], Postings.build([])).save(idx),  # once no hits for every query
         ],
         ids=[
             "header-cut", "header-without-ids", "rows-junk", "rows-cut", "k1-text", "ids-not-list", "rows-float64",
             "corpus-path-int", "rows-7", "rows-n", "rows-negative", "term-ptr-from-1", "term-ptr-decreasing",
-            "doc-len-negative", "ids-repeated", "ids-descending",
+            "doc-len-negative", "ids-repeated", "ids-descending", "index-empty",
         ],
     )
     def test_load_refuses_an_undecodable_file(self, tiny_corpus, tmp_path, damage):

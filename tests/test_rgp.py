@@ -5,7 +5,7 @@ from unittest import mock
 
 import pytest
 
-from conftest import make_corpus
+from conftest import CountingIndex, make_corpus
 from ragsel import retrieval
 from ragsel.data import QAPair
 from ragsel.llm import ScriptedBackend
@@ -188,36 +188,6 @@ class TestGenerateCandidates:
         assert "ScriptMissError" in bundle.error
 
 
-class _CountingIndex:
-    """An index that counts `retrieve` and `retrieve_many` calls, and logs
-    each question `retrieve_many` takes ("q") and each result it yields ("r")."""
-
-    def __init__(self, index):
-        self._index = index
-        self.retrieves = 0
-        self.many_calls = 0
-        self.events = []
-
-    def retrieve(self, query, top_k):
-        self.retrieves += 1
-        return self._index.retrieve(query, top_k)
-
-    def retrieve_many(self, queries, top_k):
-        self.many_calls += 1
-
-        def taken():
-            for query in queries:
-                self.events.append("q")
-                yield query
-
-        for result in self._index.retrieve_many(taken(), top_k):
-            self.events.append("r")
-            yield result
-
-    def __getattr__(self, name):
-        return getattr(self._index, name)
-
-
 def _blocks_fixture(tmp_path, n_qa=10):
     """Every passage shares two question words, so each question has all 8
     passages as hits and the seeded draw decides how many it sees. Question
@@ -248,7 +218,7 @@ class TestBuildRetrievesInBlocks:
         corpus, index, qa, script = _blocks_fixture(tmp_path)
         with mock.patch.object(retrieval, "SCORE_BUDGET", index.N):  # one question per block
             expected = self._build(index, corpus, qa, script, 1)
-        counting = _CountingIndex(index)
+        counting = CountingIndex(index)
         with mock.patch.object(retrieval, "SCORE_BUDGET", 3 * index.N):  # three questions per block
             got = self._build(counting, corpus, qa, script, cap)
         assert (counting.retrieves, counting.many_calls) == (0, 1)
