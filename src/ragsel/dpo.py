@@ -17,7 +17,6 @@ exported JSONL.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -159,7 +158,9 @@ def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> Expo
         staged.replace(out)
     finally:
         staged.unlink(missing_ok=True)
-    by_origin = dict(Counter(pair.negative_origin for pair in pairs))  # in order of first occurrence
+    by_origin: dict[str, int] = {}
+    for pair in pairs:
+        by_origin[pair.negative_origin] = by_origin.get(pair.negative_origin, 0) + 1
     return ExportSummary(total=len(pairs), by_origin=by_origin, path=str(out))
 
 

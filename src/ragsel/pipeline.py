@@ -467,7 +467,11 @@ def run_dataset(
                 max_tokens=max_tokens,
             )
         except (GatewayError, RagselError) as exc:
-            return SelectionRecord(id=qa.id, query=qa.question, error=f"{type(exc).__name__}: {exc}")
+            return SelectionRecord(
+                id=qa.id,
+                query=qa.question,
+                error=f"{type(exc).__name__}: {exc}",
+            )
 
     questions = (qa.question for qa in qa_pairs)
     results = repeat(None) if mode == MODE_LLM_ONLY else index.retrieve_many(questions, top_k)

@@ -127,10 +127,20 @@ class Postings:
     def row_sums(self, token_lists: Sequence[list[str]], weights: np.ndarray) -> np.ndarray:
         """Float64 sums of per-posting `weights` by row, one row of sums per
         token list: each token adds its term's weights to the rows that hold
-        it, in token order. One position array gathers every token's
-        postings, and one `np.bincount` sums them (list b's at bins
+        it, in token order, all in one `np.bincount` (list b's at bins
         `row + b * len(lengths)`). A token that no row holds adds nothing."""
         n, term_id, ptr = len(self.lengths), self._term_id, self.term_ptr
+        if len(token_lists) == 1:
+            # One list (mining's rows; retrieve_many's blocks over more than
+            # SCORE_BUDGET // 2 passages) copies its postings by slices: for
+            # long posting lists, contiguous copies beat the position-array
+            # gather below. Same sums, in the same order.
+            spans = [slice(ptr[t], ptr[t + 1]) for t in map(term_id.get, token_lists[0]) if t is not None]
+            rows = np.concatenate([_NO_ROWS, *(self.rows[span] for span in spans)])
+            values = np.concatenate([_NO_WEIGHTS, *(weights[span] for span in spans)])
+            return np.bincount(rows, values, minlength=n)[None]
+        # Many lists (retrieve_many's blocks over fewer passages) gather every
+        # token's postings through one position array: fewer NumPy calls.
         terms, owners = [], []  # each known token's term, and the first bin of its list
         for b, tokens in enumerate(token_lists):
             known = [t for t in map(term_id.get, tokens) if t is not None]
@@ -149,6 +159,8 @@ class Postings:
         return np.bincount(bins, values, minlength=len(token_lists) * n).reshape(len(token_lists), n)
 
 
+_NO_ROWS = np.empty(0, dtype=np.int32)
+_NO_WEIGHTS = np.empty(0)
 _LEAST_POSITIVE = float(np.nextafter(0.0, 1.0))  # scores > 0 are scores >= this
 
 
