@@ -35,6 +35,7 @@ import json
 import math
 import os
 import sys
+import urllib.parse
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Sequence
@@ -87,7 +88,8 @@ def _finite_positive(value: float) -> bool:
 
 # The one declaration of each setting; a flag's dest is its key.
 _SETTINGS: dict[str, _Setting] = {
-    "endpoint_url": _Setting("", str, "a chat endpoint URL", flag="--endpoint"),
+    "endpoint_url": _Setting("", str, "a chat endpoint URL with no user:password@",
+                             lambda value: "@" not in urllib.parse.urlsplit(value).netloc, "--endpoint"),
     "api_key_env": _Setting("", str, "the name of the environment variable holding the token"),
     "model_name": _Setting("default", str, "any text"),
     "max_retries": _at_least(3, 0),

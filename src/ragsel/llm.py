@@ -1,8 +1,9 @@
 """Generation backends behind one interface: an OpenAI-style chat HTTP
 endpoint for real runs, a scripted table for tests and offline runs, and a
-disk replay cache keyed by request fingerprint. `_post_json` is the one HTTP
-transport, on the standard library's `urllib.request`; the chat backend is
-its one client.
+disk replay cache keyed by request fingerprint. `HttpBackend` owns the one
+HTTP transport, on the standard library's `urllib.request`. A request is a
+user prompt and a token cap: every request goes out at temperature 0, with
+no system prompt and no seed.
 
 Every failure maps to exactly one of:
 - TransportError: no HTTP status came back. A refused or dropped connection,
@@ -14,17 +15,17 @@ Every failure maps to exactly one of:
   no sooner than its `Retry-After` seconds; every other status fails at
   once, a 3xx too, because no redirect is followed.
 - ScriptMissError: the scripted backend has no matching key.
+- CacheEntryError: a replay-cache entry is not UTF-8 text; deleting it
+  fetches the reply again.
 Parsing of the completion text is the caller's problem, by design.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import http.client
 import json
-import math
 import os
 import random
 import re
@@ -64,30 +65,37 @@ class ScriptMissError(GatewayError):
         self.key = key
 
 
+class CacheEntryError(GatewayError):
+    def __init__(self, path: Path, cause: str):
+        super().__init__(f"replay cache entry {path} is not UTF-8 text ({cause}); "
+                         "delete it to fetch the reply again")
+
+
 @dataclass(frozen=True)
 class GenRequest:
+    """A user prompt and its token cap. Every request is sent greedy, at
+    temperature 0, with no system prompt and no seed."""
+
     user_prompt: str
-    system_prompt: str = ""
-    temperature: float = 0.0
     max_tokens: int = 512
-    seed: int | None = None
 
     def __post_init__(self):
         if self.max_tokens < 1:
             raise ValueError("max_tokens must be >= 1")
-        if not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ValueError(f"temperature must be finite and >= 0, got {self.temperature!r}")
 
 
 def fingerprint(request: GenRequest) -> str:
     """Content hash of the request; equal requests hash equal across processes."""
+    # The payload keeps the five keys a request once had, with the values
+    # every request sent then for the three since dropped (no system prompt,
+    # temperature 0, no seed), so replay caches written before still hit.
     payload = json.dumps(
         {
-            "system_prompt": request.system_prompt,
+            "system_prompt": "",
             "user_prompt": request.user_prompt,
-            "temperature": request.temperature,
+            "temperature": 0.0,
             "max_tokens": request.max_tokens,
-            "seed": request.seed,
+            "seed": None,
         },
         sort_keys=True,
         ensure_ascii=False,
@@ -213,60 +221,8 @@ def _retry_after(headers: Message) -> float:
     return float(value) if _DELAY_SECONDS.fullmatch(value) else 0.0
 
 
-def _post_json(url: str, body: dict, *, api_key_env: str | None = None, max_retries: int = 3,
-               backoff_base: float = 0.25, timeout: float = 60.0, slots: threading.Semaphore | None = None):
-    """POST `body` as JSON and return the decoded JSON reply: the one HTTP
-    transport, used by the chat client (`HttpBackend`).
-
-    A bearer token is sent when the variable named by `api_key_env` is set.
-    Connection errors, timeouts, truncated replies and 429/5xx are retried up
-    to `max_retries` more times with full-jitter exponential backoff: retry n
-    waits a uniform draw from [0, backoff_base * 2**(n - 1)]. A 429 or 503 that
-    carries `Retry-After: <seconds>` waits for the longer of that and the
-    draw. Other non-200 statuses fail at once. Only http and https URLs
-    are opened.
-    `slots`, when given, caps the requests in flight across its sharers.
-    """
-    try:
-        scheme = urllib.parse.urlsplit(url).scheme
-    except ValueError as exc:
-        raise TransportError(1, f"malformed URL {url!r}: {exc}") from exc
-    if scheme not in ("http", "https"):
-        raise TransportError(1, f"URL scheme {scheme!r} is not http or https: {url}")
-    data = json.dumps(body, allow_nan=False).encode("utf-8")
-    headers = {"Content-Type": "application/json"}
-    token = os.environ.get(api_key_env, "") if api_key_env else ""
-    if token:
-        headers["Authorization"] = f"Bearer {token}"
-    last_transport, last_status, asked_wait = "unknown transport failure", None, 0.0
-    for attempt in range(max_retries + 1):
-        if attempt:
-            time.sleep(max(_JITTER.uniform(0.0, backoff_base * (2 ** (attempt - 1))), asked_wait))
-        request = urllib.request.Request(url, data=data, headers=headers, method="POST")
-        try:
-            with slots or contextlib.nullcontext():
-                status, raw, reply_headers = _send(request, timeout)
-        except (OSError, http.client.HTTPException) as exc:
-            last_transport, last_status, asked_wait = f"{type(exc).__name__}: {exc}", None, 0.0
-            continue
-        if status in _RETRYABLE_STATUSES:
-            last_status = status
-            asked_wait = _retry_after(reply_headers) if status in _RETRY_AFTER_STATUSES else 0.0
-            continue
-        if status != 200:
-            raise StatusError(status, f"HTTP {status} from {url}")
-        try:
-            return json.loads(raw)
-        except ValueError as exc:
-            raise StatusError(200, f"malformed payload, not JSON: {exc}") from exc
-    attempts = max_retries + 1
-    if last_status is not None:
-        raise StatusError(last_status, f"HTTP {last_status} after {attempts} attempt(s)")
-    raise TransportError(attempts, last_transport)
-
-
 class HttpBackend:
-    """OpenAI-style chat-completions client over `_post_json`.
+    """OpenAI-style chat-completions client, and the one HTTP transport.
 
     Transient failures are retried up to `max_retries` extra attempts.
     Concurrent callers share a semaphore capping in-flight requests at
@@ -297,27 +253,13 @@ class HttpBackend:
         self.max_in_flight = max_in_flight
         self._slots = threading.Semaphore(max_in_flight)
 
-    def _body(self, request: GenRequest) -> dict:
-        messages = []
-        if request.system_prompt:
-            messages.append({"role": "system", "content": request.system_prompt})
-        messages.append({"role": "user", "content": request.user_prompt})
-        body = {
-            "model": self.model_name,
-            "messages": messages,
-            "temperature": request.temperature,
-            "max_tokens": request.max_tokens,
-        }
-        if request.seed is not None:
-            body["seed"] = request.seed
-        return body
-
     def complete(self, request: GenRequest) -> str:
-        payload = _post_json(
-            self.endpoint_url, self._body(request), api_key_env=self.api_key_env,
-            max_retries=self.max_retries, backoff_base=self.backoff_base, timeout=self.timeout,
-            slots=self._slots,
-        )
+        payload = self._post({
+            "model": self.model_name,
+            "messages": [{"role": "user", "content": request.user_prompt}],
+            "temperature": 0.0,
+            "max_tokens": request.max_tokens,
+        })
         try:
             text = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
@@ -325,6 +267,55 @@ class HttpBackend:
         if not isinstance(text, str):
             raise StatusError(200, "completion content is not text")
         return text
+
+    def _post(self, body: dict):
+        """POST `body` to the endpoint as JSON and return the decoded JSON reply.
+
+        A bearer token is sent when the variable named by `api_key_env` is set.
+        Connection errors, timeouts, truncated replies and 429/5xx are retried up
+        to `max_retries` more times with full-jitter exponential backoff: retry n
+        waits a uniform draw from [0, backoff_base * 2**(n - 1)]. A 429 or 503 that
+        carries `Retry-After: <seconds>` waits for the longer of that and the
+        draw. Other non-200 statuses fail at once. Only http and https URLs
+        are opened. The semaphore caps the requests in flight.
+        """
+        url = self.endpoint_url
+        try:
+            scheme = urllib.parse.urlsplit(url).scheme
+        except ValueError as exc:
+            raise TransportError(1, f"malformed URL {url!r}: {exc}") from exc
+        if scheme not in ("http", "https"):
+            raise TransportError(1, f"URL scheme {scheme!r} is not http or https: {url}")
+        data = json.dumps(body, allow_nan=False).encode("utf-8")
+        headers = {"Content-Type": "application/json"}
+        token = os.environ.get(self.api_key_env, "") if self.api_key_env else ""
+        if token:
+            headers["Authorization"] = f"Bearer {token}"
+        last_transport, last_status, asked_wait = "unknown transport failure", None, 0.0
+        for attempt in range(self.max_retries + 1):
+            if attempt:
+                time.sleep(max(_JITTER.uniform(0.0, self.backoff_base * (2 ** (attempt - 1))), asked_wait))
+            request = urllib.request.Request(url, data=data, headers=headers, method="POST")
+            try:
+                with self._slots:
+                    status, raw, reply_headers = _send(request, self.timeout)
+            except (OSError, http.client.HTTPException) as exc:
+                last_transport, last_status, asked_wait = f"{type(exc).__name__}: {exc}", None, 0.0
+                continue
+            if status in _RETRYABLE_STATUSES:
+                last_status = status
+                asked_wait = _retry_after(reply_headers) if status in _RETRY_AFTER_STATUSES else 0.0
+                continue
+            if status != 200:
+                raise StatusError(status, f"HTTP {status} from {url}")
+            try:
+                return json.loads(raw)
+            except ValueError as exc:
+                raise StatusError(200, f"malformed payload, not JSON: {exc}") from exc
+        attempts = self.max_retries + 1
+        if last_status is not None:
+            raise StatusError(last_status, f"HTTP {last_status} after {attempts} attempt(s)")
+        raise TransportError(attempts, last_transport)
 
 
 class CachedBackend:
@@ -345,7 +336,12 @@ class CachedBackend:
     def complete(self, request: GenRequest) -> str:
         path = self.cache_dir / f"{fingerprint(request)}.txt"
         if path.exists():
-            return path.read_text(encoding="utf-8")
+            # newline="" hands back "\r\n" and a lone "\r" as stored.
+            with open(path, encoding="utf-8", newline="") as fh:
+                try:
+                    return fh.read()
+                except UnicodeDecodeError as exc:
+                    raise CacheEntryError(path, str(exc)) from None
         text = self.inner.complete(request)
         write_atomic(path, [text])
         return text

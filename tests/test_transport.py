@@ -1,4 +1,4 @@
-"""The one HTTP transport (`llm._post_json`) as the chat client sees it:
+"""The one HTTP transport, `HttpBackend`'s own POST, as a caller sees it:
 retries, fail-fast statuses, bearer auth, malformed payloads and broken
 connections, injected through the loopback StubServer."""
 
