@@ -4,11 +4,13 @@ extra negatives, giving up to 2K+1 training pairs per instance. Similarity
 is the cosine between the queries' token-count vectors, scored over shared
 CSR postings (`retrieval.Postings`).
 
-Each pair renders the selection prompt used at inference
+Each pair's prompt is the selection prompt used at inference
 (pipeline.select_prompt), with the chosen and rejected responses as its two
-candidates in a per-pair random order. A mined negative whose answer
-normalizes equal to the instance's positive is dropped rather than kept as a
-self-contradictory pair.
+candidates in a per-pair random order. A pair keeps its question and renders
+that prompt only when it is written, and augment_dataset renders each
+instance's two responses once, so every pair that uses a response shares one
+string. A mined negative whose answer normalizes equal to the instance's
+positive is dropped rather than kept as a self-contradictory pair.
 """
 
 from __future__ import annotations
@@ -21,12 +23,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import Record, stable_hash_int
+from .data import FieldTypeError, Record, stable_hash_int
 from .errors import RagselError
 from .evaluation import normalize
-from .pipeline import render_response, select_prompt
+from .pipeline import render_response, select_prompt, select_question
 from .retrieval import Postings, tokenize, top_k_positions
-from .rgp import PreferenceInstance, Response
+from .rgp import PreferenceInstance
 
 ORDER_CHOSEN_FIRST = "chosen_first"
 ORDER_REJECTED_FIRST = "rejected_first"
@@ -54,12 +56,50 @@ class NeighborSet:
 
 @dataclass(slots=True)
 class DpoPair(Record):
-    prompt: str  # the rendered selection prompt, holding both responses
+    """A preference pair. Its row holds `prompt`, the selection prompt for
+    `query` with chosen and rejected in the recorded order, in place of
+    `query`; `from_dict` reads the question back out of it and refuses a
+    prompt that is not exactly that rendering."""
+
+    query: str  # the instance's question
     chosen: str
     rejected: str
     order: str  # chosen_first | rejected_first
     negative_origin: str  # own_negative | neighbor_positive | neighbor_negative
     source_query_ids: tuple[str, str]  # (instance query, negative's origin query)
+
+    @property
+    def candidates(self) -> tuple[str, str]:
+        """Chosen and rejected in the order the prompt shows them."""
+        if self.order == ORDER_CHOSEN_FIRST:
+            return self.chosen, self.rejected
+        return self.rejected, self.chosen
+
+    @property
+    def prompt(self) -> str:
+        return select_prompt(self.query, *self.candidates)
+
+    # Record's methods are named, not reached through super(): a slotted
+    # dataclass is a new class, which zero-argument super() does not know.
+    def to_dict(self) -> dict:
+        row = {"prompt": self.prompt, **Record.to_dict(self)}
+        del row["query"]
+        return row
+
+    @classmethod
+    def from_dict(cls, obj: dict) -> "DpoPair":
+        prompt = obj["prompt"]
+        if type(prompt) is not str:
+            raise FieldTypeError("str", prompt, "prompt")
+        pair = Record.from_dict.__func__(cls, {**obj, "query": ""})
+        query = select_question(prompt, *pair.candidates)
+        if query is None:
+            # The reverse order is tried only to tell the two faults apart.
+            if select_question(prompt, *reversed(pair.candidates)) is not None:
+                raise ValueError(f"recorded order says {pair.order} but prompt disagrees")
+            raise ValueError("prompt is not the selection prompt with chosen and rejected in its candidate slots")
+        pair.query = query
+        return pair
 
 
 def _count_vector(text: str) -> Counter:
@@ -112,22 +152,30 @@ def mine_neighbors(dataset: Sequence[PreferenceInstance], k: int) -> dict[str, N
     return out
 
 
+def _rendered(instance: PreferenceInstance) -> tuple[str, str]:
+    """The instance's positive and negative responses, rendered."""
+    return (
+        render_response(instance.positive.answer, instance.positive.explanation),
+        render_response(instance.negative.answer, instance.negative.explanation),
+    )
+
+
 def _negative_pool(
     instance: PreferenceInstance,
     neighbors: NeighborSet | None,
     lookup: dict[str, PreferenceInstance],
-) -> list[tuple[Response, str, str]]:
-    """Own negative first, then each neighbor's positive and negative in rank order."""
-    pool: list[tuple[Response, str, str]] = [
-        (instance.negative, ORIGIN_OWN_NEGATIVE, instance.query_id)
-    ]
+) -> list[tuple[PreferenceInstance, int, str]]:
+    """Own negative first, then each neighbor's positive and negative in rank
+    order, each as (its instance, 0 for the positive or 1 for the negative,
+    origin)."""
+    pool = [(instance, 1, ORIGIN_OWN_NEGATIVE)]
     if neighbors is not None:
         for neighbor_id, _sim in neighbors.neighbors:
             other = lookup.get(neighbor_id)
             if other is None:
                 raise UnresolvedNeighborError(neighbor_id)
-            pool.append((other.positive, ORIGIN_NEIGHBOR_POSITIVE, neighbor_id))
-            pool.append((other.negative, ORIGIN_NEIGHBOR_NEGATIVE, neighbor_id))
+            pool.append((other, 0, ORIGIN_NEIGHBOR_POSITIVE))
+            pool.append((other, 1, ORIGIN_NEIGHBOR_NEGATIVE))
     return pool
 
 
@@ -136,34 +184,36 @@ def expand(
     neighbors: NeighborSet | None,
     lookup: dict[str, PreferenceInstance],
     order_seed: int,
+    rendered: dict[str, tuple[str, str]] | None = None,
 ) -> list[DpoPair]:
     """Turn one instance into one DPO pair per surviving negative.
 
     With a full set of K neighbors and no collisions that is 2K+1 pairs; a
     negative whose answer normalizes equal to the positive is skipped. Each
-    pair's presentation order is an independent coin from order_seed, and the
-    prompt embeds chosen and rejected verbatim in that order.
+    pair's presentation order is an independent coin from order_seed, and its
+    prompt embeds chosen and rejected verbatim in that order. `rendered` maps
+    a query id to its instance's `_rendered` responses; without it, expand
+    renders the ones it uses.
     """
-    positive_text = render_response(instance.positive.answer, instance.positive.explanation)
+    pool = _negative_pool(instance, neighbors, lookup)
+    if rendered is None:
+        rendered = {source.query_id: _rendered(source) for source, _slot, _origin in pool}
+    positive_text = rendered[instance.query_id][0]
     positive_norm = normalize(instance.positive.answer)
     rng = random.Random(order_seed)
     pairs: list[DpoPair] = []
-    for negative, origin, origin_id in _negative_pool(instance, neighbors, lookup):
-        if normalize(negative.answer) == positive_norm:
+    for source, slot, origin in pool:
+        if normalize((source.positive, source.negative)[slot].answer) == positive_norm:
             continue
-        negative_text = render_response(negative.answer, negative.explanation)
         chosen_first = rng.random() < 0.5
-        first, second = (
-            (positive_text, negative_text) if chosen_first else (negative_text, positive_text)
-        )
         pairs.append(
             DpoPair(
-                prompt=select_prompt(instance.query, first, second),
+                query=instance.query,
                 chosen=positive_text,
-                rejected=negative_text,
+                rejected=rendered[source.query_id][slot],
                 order=ORDER_CHOSEN_FIRST if chosen_first else ORDER_REJECTED_FIRST,
                 negative_origin=origin,
-                source_query_ids=(instance.query_id, origin_id),
+                source_query_ids=(instance.query_id, source.query_id),
             )
         )
     return pairs
@@ -201,13 +251,13 @@ def augment_dataset(
     if k > 0 and len(dataset) > 1:
         neighbor_map = mine_neighbors(dataset, k)
 
+    rendered = {inst.query_id: _rendered(inst) for inst in dataset}
     report = AugmentReport(instances=len(dataset))
     pairs: list[DpoPair] = []
     for instance in dataset:
         neighbors = neighbor_map.get(instance.query_id)
-        expanded = expand(
-            instance, neighbors, lookup, order_seed=stable_hash_int(order_seed, instance.query_id)
-        )
+        seed = stable_hash_int(order_seed, instance.query_id)
+        expanded = expand(instance, neighbors, lookup, order_seed=seed, rendered=rendered)
         possible = 1 + 2 * len(neighbors.neighbors) if neighbors is not None else 1
         report.collision_dropped += possible - len(expanded)
         for pair in expanded:

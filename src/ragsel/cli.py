@@ -69,13 +69,16 @@ ENV_PREFIX = "SELECTOR_RAG_"
 @dataclass(frozen=True)
 class _Setting:
     """A setting's default, the type a raw value converts to, the values `ok`
-    accepts (told by `allowed` in `--help` and in errors), and its flag."""
+    accepts (told by `allowed` in `--help` and in errors), its flag, and
+    whether an error may echo a refused value (not one that may hold a
+    credential)."""
 
     default: Any
     kind: type
     allowed: str
     ok: Callable[[Any], bool] = lambda value: True
     flag: str | None = None
+    echo: bool = True
 
 
 def _at_least(default: int, low: int, flag: str | None = None) -> _Setting:
@@ -89,7 +92,7 @@ def _finite_positive(value: float) -> bool:
 # The one declaration of each setting; a flag's dest is its key.
 _SETTINGS: dict[str, _Setting] = {
     "endpoint_url": _Setting("", str, "a chat endpoint URL with no user:password@",
-                             lambda value: "@" not in urllib.parse.urlsplit(value).netloc, "--endpoint"),
+                             lambda value: "@" not in urllib.parse.urlsplit(value).netloc, "--endpoint", echo=False),
     "api_key_env": _Setting("", str, "the name of the environment variable holding the token"),
     "model_name": _Setting("default", str, "any text"),
     "max_retries": _at_least(3, 0),
@@ -142,6 +145,8 @@ def _resolve_settings(args: argparse.Namespace) -> None:
             if not setting.ok(parsed):
                 raise ValueError(f"must be {setting.allowed}")
         except ValueError as exc:
+            if not setting.echo:  # the parser's message may quote the value too
+                raise SettingError(f"setting {key} = (not shown): must be {setting.allowed}") from None
             raise SettingError(f"setting {key} = {value!r}: {exc}") from None
         setattr(args, key, parsed)
 

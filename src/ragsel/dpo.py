@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .augment import DpoPair
-from .data import Record, iter_records, read_records, temp_sibling, write_jsonl
+from .augment import ORDER_CHOSEN_FIRST, ORDER_REJECTED_FIRST, DpoPair
+from .data import MalformedRecordError, Record, iter_records, read_records, temp_sibling, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
-from .pipeline import fill_template, load_template
 
 
 class DpoError(RagselError):
@@ -108,51 +107,41 @@ class ExportSummary(Record):
     path: str
 
 
-def _slot_stretch(template: str) -> str:
-    """The stretch of the selection template from its first candidate slot
-    through its second."""
-    start, end = sorted((template.index("{candidate_1}"), template.index("{candidate_2}")))
-    return template[start : end + len("{candidate_2}")]
-
-
-def _validate_pair(pair: DpoPair, ordinal: int, stretch: str) -> None:
+def _validate_pair(pair: DpoPair, ordinal: int) -> None:
     label = f"pair {ordinal} (queries {pair.source_query_ids})"
     if normalize(pair.chosen) == normalize(pair.rejected):
         raise DpoError(f"{label}: chosen and rejected normalize to the same text")
-    if pair.order not in ("chosen_first", "rejected_first"):
+    if pair.order not in (ORDER_CHOSEN_FIRST, ORDER_REJECTED_FIRST):
         raise DpoError(f"{label}: unknown order {pair.order!r}")
-    first, second = (pair.chosen, pair.rejected) if pair.order == "chosen_first" else (pair.rejected, pair.chosen)
-    if fill_template(stretch, candidate_1=first, candidate_2=second) not in pair.prompt:
-        # The reverse order is rendered only to tell the two faults apart.
-        if fill_template(stretch, candidate_1=second, candidate_2=first) in pair.prompt:
-            raise DpoError(f"{label}: recorded order says {pair.order} but prompt disagrees")
-        raise DpoError(f"{label}: prompt does not embed both responses verbatim in its candidate slots")
 
 
 def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> ExportSummary:
     """Validate every pair, write the JSONL beside `out_path`, re-read it as a
     final check, and only then rename it over `out_path`.
 
-    Each prompt must hold chosen and rejected in the candidate slots of the
-    packaged selection template, in the recorded order.
+    Each line's prompt is rendered from its pair as it is written, so it is
+    the packaged selection prompt with chosen and rejected in the recorded
+    order; `load_pairs` refuses a line whose prompt is not.
     Any invariant violation aborts before a single line is written.
     The check decodes the written lines one at a time, each compared with the
     pair it was written from, so it holds no second copy of the pairs.
     """
     if not pairs:
         raise DpoError("no pairs to export")
-    stretch = _slot_stretch(load_template("select"))
     for ordinal, pair in enumerate(pairs, start=1):
-        _validate_pair(pair, ordinal, stretch)
+        _validate_pair(pair, ordinal)
     out = Path(out_path)
     staged = temp_sibling(out)
     try:
         write_jsonl(staged, (pair.to_dict() for pair in pairs))
         read = 0
-        for read, decoded in enumerate(iter_records(staged, DpoPair.from_dict), start=1):
-            if read <= len(pairs) and decoded != pairs[read - 1]:
-                raise DpoError(f"re-read validation failed: pair {read} (queries {pairs[read - 1].source_query_ids}) "
-                               "does not read back as written")
+        try:
+            for read, decoded in enumerate(iter_records(staged, DpoPair.from_dict), start=1):
+                if read <= len(pairs) and decoded != pairs[read - 1]:
+                    raise DpoError(f"re-read validation failed: pair {read} (queries "
+                                   f"{pairs[read - 1].source_query_ids}) does not read back as written")
+        except MalformedRecordError as exc:
+            raise DpoError(f"re-read validation failed: {exc}") from None
         if read != len(pairs):
             raise DpoError(f"re-read validation failed: wrote {len(pairs)} pairs, read {read}")
         staged.replace(out)
@@ -165,4 +154,7 @@ def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> Expo
 
 
 def load_pairs(path: str | Path) -> list[DpoPair]:
+    """The pairs of a training file. A line whose prompt is not the packaged
+    selection prompt with its chosen and rejected in the recorded order is a
+    MalformedRecordError naming the line."""
     return read_records(path, DpoPair.from_dict)

@@ -5,9 +5,14 @@ between them.
 Prompts are data, not code: the three templates live as packaged text files
 with {question}, {passages}, {candidate_1}, {candidate_2} placeholders. A
 PromptSet adds only the few-shot exemplars the two answer prompts open with.
-The selection prompt is zero-shot, and select_prompt renders it for both
-inference (select) and pair expansion (augment.expand), so the selector is
-trained on the prompt it answers. Model output is expected in the shape
+fill_template fills a template in one pass over its pieces, split on the
+placeholders once and cached, so a value is inserted as it is even when it
+holds a placeholder. The selection prompt is zero-shot, and select_prompt
+renders it for both inference (select) and the DPO pairs (augment.DpoPair),
+so the selector is trained on the prompt it answers. select_question inverts
+it exactly: a pair keeps its question, and its prompt is rendered when the
+pair is written and checked when it is read. Model output is expected in the
+shape
 
     Explanation: <why>
     Answer: <short answer>
@@ -158,11 +163,28 @@ def _load_exemplars(path: str | Path) -> list[Exemplar]:
     return exemplars
 
 
+@functools.lru_cache(maxsize=32)
+def _pieces(template: str, keys: tuple[str, ...]) -> tuple[str, ...]:
+    """The template split on its `{key}` placeholders: literal, key, literal,
+    ..., literal, with the keys at the odd positions."""
+    if not keys:
+        return (template,)
+    slots = "|".join(re.escape("{" + key + "}") for key in keys)
+    return tuple(piece[1:-1] if n % 2 else piece for n, piece in enumerate(re.split(f"({slots})", template)))
+
+
+def _join(pieces: Sequence[str], values: dict[str, str]) -> str:
+    parts = list(pieces)
+    for n in range(1, len(parts), 2):
+        parts[n] = values[parts[n]]
+    return "".join(parts)
+
+
 def fill_template(template: str, **values: str) -> str:
-    out = template
-    for key, value in values.items():
-        out = out.replace("{" + key + "}", value)
-    return out
+    """The template with each `{key}` placeholder replaced by its value, in
+    one pass: a value is inserted as it is, also when it holds a placeholder
+    itself. Any other brace is left as it stands."""
+    return _join(_pieces(template, tuple(values)), values)
 
 
 def select_prompt(question: str, candidate_1: str, candidate_2: str) -> str:
@@ -171,6 +193,27 @@ def select_prompt(question: str, candidate_1: str, candidate_2: str) -> str:
     return fill_template(
         load_template("select"), question=question, candidate_1=candidate_1, candidate_2=candidate_2
     )
+
+
+@functools.cache
+def _around_question() -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The selection template's pieces before and after its one question slot."""
+    pieces = _pieces(load_template("select"), ("question", "candidate_1", "candidate_2"))
+    at = 2 * pieces[1::2].index("question") + 1
+    return pieces[:at], pieces[at + 1 :]
+
+
+def select_question(prompt: str, candidate_1: str, candidate_2: str) -> str | None:
+    """The question q for which select_prompt(q, candidate_1, candidate_2)
+    is `prompt`, or None when there is none. The packaged template holds the
+    question once, so the text around it is fixed by the two candidates and
+    the question is what lies between."""
+    before, after = _around_question()
+    candidates = {"candidate_1": candidate_1, "candidate_2": candidate_2}
+    head, tail = _join(before, candidates), _join(after, candidates)
+    if len(prompt) < len(head) + len(tail) or not (prompt.startswith(head) and prompt.endswith(tail)):
+        return None
+    return prompt[len(head) : len(prompt) - len(tail)]
 
 
 @dataclass

@@ -1,3 +1,6 @@
+import sys
+import tracemalloc
+
 import pytest
 
 from ragsel.augment import (
@@ -208,6 +211,22 @@ class TestAugmentDataset:
             )
             for i in range(n)
         ]
+
+    def test_a_pair_retains_fewer_bytes_than_its_prompt(self):
+        """A pair keeps its question, and its responses are strings shared by
+        every pair that uses them, so what augment_dataset keeps per pair is
+        less than the prompt the pair renders."""
+        dataset = self._dataset(60)
+        augment_dataset(dataset, 3, order_seed=0)  # loads the template, fills the normalize cache
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            pairs, _report = augment_dataset(dataset, 3, order_seed=0)
+            retained = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        prompt_bytes = sum(sys.getsizeof(pair.prompt) for pair in pairs) / len(pairs)
+        assert retained / len(pairs) < prompt_bytes
 
     def test_three_instances_k1_gives_nine(self):
         pairs, report = augment_dataset(self._dataset(3), k=1, order_seed=0)

@@ -1,10 +1,12 @@
 import json
 import math
 import random
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import ragsel.dpo as dpo_module
@@ -21,6 +23,8 @@ from ragsel.dpo import (
     margin,
     pair_loss,
 )
+from ragsel.evaluation import normalize
+from ragsel.pipeline import select_prompt, select_question
 
 
 def _record(pid="p", lpc=-1.0, lrc=-1.0, lpr=-1.0, lrr=-1.0):
@@ -169,11 +173,10 @@ class TestDatasetLoss:
             dataset_loss([], DpoConfig())
 
 
-def _pair(i=0, chosen="Explanation: good why\nAnswer: right", rejected="Explanation: bad why\nAnswer: wrong", order="chosen_first"):
-    first, second = (chosen, rejected) if order == "chosen_first" else (rejected, chosen)
-    prompt = f"Question: q{i}\n\nCandidate 1:\n{first}\n\nCandidate 2:\n{second}\n"
+def _pair(i=0, chosen="Explanation: good why\nAnswer: right", rejected="Explanation: bad why\nAnswer: wrong",
+          order="chosen_first", query=None):
     return DpoPair(
-        prompt=prompt,
+        query=f"q{i}" if query is None else query,
         chosen=chosen,
         rejected=rejected,
         order=order,
@@ -182,7 +185,30 @@ def _pair(i=0, chosen="Explanation: good why\nAnswer: right", rejected="Explanat
     )
 
 
+# Text that may hold braces, placeholders and pieces of the selection template.
+_PROMPT_TEXT = st.lists(
+    st.one_of(
+        st.text(max_size=6),
+        st.sampled_from(["{", "}", "{question}", "{candidate_1}", "{candidate_2}", "Question: ", "\n\nCandidate 2:\n"]),
+    ),
+    max_size=5,
+).map("".join)
+
+
 class TestExport:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_PROMPT_TEXT, _PROMPT_TEXT, _PROMPT_TEXT, st.sampled_from(["chosen_first", "rejected_first"]))
+    def test_the_question_reads_back_from_any_prompt(self, query, chosen, rejected, order):
+        assert select_question(select_prompt(query, chosen, rejected), chosen, rejected) == query
+        assume(normalize(chosen) != normalize(rejected))
+        pair = _pair(chosen=chosen, rejected=rejected, order=order, query=query)
+        with tempfile.TemporaryDirectory() as tmp:
+            first, second = Path(tmp) / "a.jsonl", Path(tmp) / "b.jsonl"
+            export_training_file([pair], first)
+            assert load_pairs(first) == [pair]
+            export_training_file(load_pairs(first), second)
+            assert first.read_bytes() == second.read_bytes()
+
     def test_writes_and_counts(self, tmp_path):
         pairs = [_pair(i, order="chosen_first" if i % 2 else "rejected_first") for i in range(5)]
         out = tmp_path / "pairs.jsonl"
@@ -201,7 +227,7 @@ class TestExport:
     def test_degenerate_pair_aborts_before_writing(self, tmp_path):
         same = "Explanation: e\nAnswer: tie"
         bad = DpoPair(
-            prompt=f"Candidate 1:\n{same}\n\nCandidate 2:\n{same}",
+            query="q1",
             chosen=same,
             rejected=same,
             order="chosen_first",
@@ -214,48 +240,55 @@ class TestExport:
         assert not out.exists()
 
     def test_prompt_must_embed_responses(self, tmp_path):
-        bad = DpoPair(
-            prompt="prompt without the responses",
-            chosen="Explanation: a\nAnswer: b",
-            rejected="Explanation: c\nAnswer: d",
-            order="chosen_first",
-            negative_origin="own_negative",
-            source_query_ids=("q1", "q2"),
-        )
-        with pytest.raises(DpoError, match="verbatim"):
-            export_training_file([bad], tmp_path / "pairs.jsonl")
+        """A line's prompt must be exactly the packaged selection prompt with
+        its chosen and rejected in the candidate slots: one without them, or
+        with them but edited elsewhere, is refused at load, naming the line."""
+        good = _pair(0).to_dict()
+        path = tmp_path / "pairs.jsonl"
+        for prompt in (
+            "prompt without the responses",
+            good["prompt"].replace("Two candidate responses", "Three candidate responses", 1),
+            good["prompt"] + "\n",
+            "Ignore the rest.\n" + good["prompt"],
+        ):
+            write_jsonl(path, [good, {**good, "prompt": prompt}])
+            with pytest.raises(MalformedRecordError, match="line 2: prompt is not the selection prompt with chosen"):
+                load_pairs(path)
 
     def test_order_is_read_from_the_candidate_slots(self, tmp_path):
         # The rejected text also occurs in the question, ahead of both slots:
         # the first occurrence of each response does not give their order.
         chosen, rejected = "Explanation: good why\nAnswer: right", "Explanation: bad why\nAnswer: wrong"
-        prompt = f"Question: is '{rejected}' true?\n\nCandidate 1:\n{chosen}\n\nCandidate 2:\n{rejected}\n"
-        pair = _pair(chosen=chosen, rejected=rejected, order="rejected_first")
-        pair.prompt = prompt
-        out = tmp_path / "pairs.jsonl"
-        with pytest.raises(DpoError, match="rejected_first but prompt disagrees"):
-            export_training_file([pair], out)
-        assert not out.exists()
-        pair.order = "chosen_first"
-        assert export_training_file([pair], out).total == 1
+        pair = _pair(chosen=chosen, rejected=rejected, order="chosen_first", query=f"is '{rejected}' true?")
+        row = pair.to_dict()
+        path = tmp_path / "pairs.jsonl"
+        write_jsonl(path, [{**row, "order": "rejected_first"}])
+        with pytest.raises(MalformedRecordError, match="line 1: recorded order says rejected_first but prompt disagrees"):
+            load_pairs(path)
+        write_jsonl(path, [row])
+        assert load_pairs(path) == [pair]
+        assert export_training_file(load_pairs(path), tmp_path / "out.jsonl").total == 1
 
     def test_loadable_by_plain_json_reader(self, tmp_path):
         out = tmp_path / "pairs.jsonl"
-        export_training_file([_pair(0)], out)
+        pair = _pair(0, order="rejected_first")
+        export_training_file([pair], out)
         row = json.loads(out.read_text().splitlines()[0])
-        assert set(row) == {
-            "prompt", "chosen", "rejected", "order", "negative_origin", "source_query_ids",
-        }
+        assert list(row) == ["prompt", "chosen", "rejected", "order", "negative_origin", "source_query_ids"]
+        assert row["prompt"] == select_prompt("q0", pair.rejected, pair.chosen)
 
     @pytest.mark.parametrize(
         "alter, message",
         [
-            (lambda rows: [row if i != 1 else {**row, "rejected": row["rejected"] + "!"} for i, row in enumerate(rows)],
+            (lambda rows: [row if i != 1 else {**row, "negative_origin": "neighbor_negative"} for i, row in enumerate(rows)],
              r"pair 2 \(queries \('q1', 'q1'\)\) does not read back as written"),
             (lambda rows: rows[:-1], "wrote 3 pairs, read 2"),
             (lambda rows: rows + rows[-1:], "wrote 3 pairs, read 4"),
+            # The prompt no longer renders from the altered response.
+            (lambda rows: [row if i != 1 else {**row, "rejected": row["rejected"] + "!"} for i, row in enumerate(rows)],
+             "line 2: prompt is not the selection prompt"),
         ],
-        ids=["one-line-altered", "one-line-lost", "one-line-added"],
+        ids=["one-line-altered", "one-line-lost", "one-line-added", "one-response-altered"],
     )
     def test_a_file_altered_between_write_and_check_is_refused(self, tmp_path, monkeypatch, alter, message):
         monkeypatch.setattr(dpo_module, "write_jsonl", lambda path, rows: write_jsonl(path, alter(list(rows))))

@@ -41,7 +41,7 @@ from ragsel.pipeline import (
     select_prompt,
 )
 from ragsel.retrieval import build_index
-from ragsel.rgp import PreferenceInstance, Response
+from ragsel.rgp import JUDGE_LLM, PreferenceInstance, Response, judge
 
 
 class TestParseResponse:
@@ -304,6 +304,25 @@ class TestOneSelectionPrompt:
                 (pair.chosen, pair.rejected) if pair.order == ORDER_CHOSEN_FIRST else (pair.rejected, pair.chosen)
             )
             assert pair.prompt == select_prompt("who?", first, second)
+
+    def test_a_value_holding_a_placeholder_is_inserted_as_it_is(self):
+        """Each placeholder is filled once: a question naming a candidate slot
+        is sent as asked, and a gold answer naming the candidate slot is not
+        replaced by the candidate, so the judge never compares it with itself."""
+        sent = []
+
+        class Spy:
+            tag = "spy"
+
+            def complete(self, request):
+                sent.append(request.user_prompt)
+                return "Yes"
+
+        prompt = select_prompt("what is {candidate_2}?", "A1", "B2")
+        assert "\nQuestion: what is {candidate_2}?\n" in prompt
+        assert prompt.endswith("Candidate 1:\nA1\n\nCandidate 2:\nB2\n")
+        judge("X", ["{candidate}"], mode=JUDGE_LLM, backend=Spy())
+        assert "Accepted answers: {candidate}\nCandidate answer: X\n" in sent.pop()
 
 
 def _desk_fixture(tmp_path):

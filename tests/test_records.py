@@ -33,10 +33,7 @@ def _examples():
         "instance-no-seed": PreferenceInstance(
             "q2", "Who?", "Ann", Response("Ann", ""), Response("Bo", "x"), "retrieval", 1, "llm"
         ),
-        "pair": DpoPair(
-            "Question: q\nCandidate 1: a\nCandidate 2: b", "a", "b", "chosen_first", "neighbor_negative",
-            ("q1", "q7"),
-        ),
+        "pair": DpoPair("q", "a", "b", "chosen_first", "neighbor_negative", ("q1", "q7")),
         "augment-report": AugmentReport(2, 5, 2, 2, 1, 0, 3, 2),
         "build-report": BuildReport(4, 1, 1, 0, 1, 1, 0, 1, ["q4: no passages retrieved"], "lexical"),
         "metric-report": MetricReport(0.5, 0.75, 0.5, 2, per_item),
@@ -76,10 +73,14 @@ LAYOUT = {
         r' "negative": {"answer": "Bo", "explanation": "x"}, "positive_source": "retrieval",'
         r' "meta": {"n_passages": 1, "judge_tag": "llm", "seed": null, "query_id": "q2"}}'
     ),
+    # A pair keeps its question and writes the selection prompt it renders.
     'pair': (
-        r'{"prompt": "Question: q\nCandidate 1: a\nCandidate 2: b", "chosen": "a",'
-        r' "rejected": "b", "order": "chosen_first", "negative_origin": "neighbor_negative",'
-        r' "source_query_ids": ["q1", "q7"]}'
+        r'{"prompt": "Two candidate responses to the question are shown below, each with an'
+        r' explanation and an answer.\nChoose the response that answers the question correctly'
+        r' and restate it, exactly in this format:\nExplanation: <explanation of the chosen'
+        r' response>\nAnswer: <answer of the chosen response>\n\nQuestion: q\n\nCandidate 1:\na'
+        r'\n\nCandidate 2:\nb\n", "chosen": "a", "rejected": "b", "order": "chosen_first",'
+        r' "negative_origin": "neighbor_negative", "source_query_ids": ["q1", "q7"]}'
     ),
     'augment-report': (
         r'{"instances": 2, "pairs": 5, "own_negative": 2, "neighbor_positive": 2,'
@@ -176,6 +177,7 @@ def test_from_dict_reads_back_what_to_dict_writes(record):
             {"source_query_ids": ["q1", "q2", "q3"]},
             "field 'source_query_ids' must be list of 2 str, got list",
         ),
+        ("pair", {"prompt": None}, "field 'prompt' must be str, got null"),
     ],
 )
 def test_a_value_of_the_wrong_type_names_its_field(name, change, message):
