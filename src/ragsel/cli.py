@@ -12,7 +12,8 @@ key; a config-file key with no row is refused. Each subcommand names the
 settings it reads once (`_set_command`); those get their flags, and the
 manifest records them all. Secrets never
 appear in manifests: config names the environment variable holding the
-token, not the token itself, and the endpoint URL must not carry one.
+token, not the token itself, and the endpoint URL must not carry one, in a
+`user:password@` or in a query string.
 
 A handler takes only `args` and returns an `Outcome`. `_finish` writes all
 of a command's bookkeeping from it: the optional `--out` JSON, whole or not
@@ -49,7 +50,7 @@ from . import rgp as rgp_mod
 from .data import load_qa_file, write_atomic
 from .errors import RagselError
 from .llm import Backend, CachedBackend, HttpBackend, ScriptedBackend
-from .manifest import write_manifest
+from .manifest import MANIFEST_NAME, write_manifest
 from .retrieval import Bm25Index, RetrievalConfig, build_index, index_files
 
 
@@ -89,10 +90,15 @@ def _finite_positive(value: float) -> bool:
     return 0 < value < math.inf
 
 
+def _holds_no_credential(url: str) -> bool:
+    parts = urllib.parse.urlsplit(url)
+    return "@" not in parts.netloc and not parts.query
+
+
 # The one declaration of each setting; a flag's dest is its key.
 _SETTINGS: dict[str, _Setting] = {
-    "endpoint_url": _Setting("", str, "a chat endpoint URL with no user:password@",
-                             lambda value: "@" not in urllib.parse.urlsplit(value).netloc, "--endpoint", echo=False),
+    "endpoint_url": _Setting("", str, "a chat endpoint URL with no user:password@ and no query string",
+                             _holds_no_credential, "--endpoint", echo=False),
     "api_key_env": _Setting("", str, "the name of the environment variable holding the token"),
     "model_name": _Setting("default", str, "any text"),
     "max_retries": _at_least(3, 0),
@@ -231,6 +237,9 @@ def cmd_corpus_ingest(args) -> Outcome:
 
 
 def cmd_index_build(args) -> Outcome:
+    out = Path(args.out)
+    if out.is_dir() and not {p.name for p in out.iterdir()} <= {p.name for p in index_files(out)} | {MANIFEST_NAME}:
+        raise RagselError(f"{out} holds files that are not an index's; index build replaces only an index directory")
     handle = corpus_mod.Corpus(args.corpus)
     index = build_index(handle, RetrievalConfig(k1=args.k1, b=args.b))
     index.save(args.out)

@@ -2,8 +2,10 @@
 
 A corpus directory holds the normalized records (`passages.jsonl`) and a
 byte offset per passage id for O(1) lookup (`offsets.json`). Token counts
-belong to the index, which is the one place that tokenizes. Once ingested a
-corpus is immutable; any number of readers may open it concurrently.
+belong to the index, which is the one place that tokenizes. The directory is
+built at a hidden sibling and renamed into place by `data.staged`, so it is
+there whole or not at all. Once ingested a corpus is immutable; any number of
+readers may open it concurrently.
 """
 
 from __future__ import annotations
@@ -11,13 +13,12 @@ from __future__ import annotations
 import functools
 import json
 import os
-import shutil
 import weakref
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .data import FieldTypeError, MalformedRecordError, encode_json, read_jsonl, temp_sibling
+from .data import FieldTypeError, MalformedRecordError, encode_json, read_jsonl, staged
 from .errors import RagselError
 
 PASSAGES_FILE = "passages.jsonl"
@@ -148,21 +149,16 @@ def ingest(source: str | Path | Iterable[dict], out_dir: str | Path) -> Corpus:
 
     Ingest is single-writer: it fails rather than amend an existing corpus.
     `out_dir` must be missing or an empty directory. The corpus is built in a
-    temporary sibling and renamed into place, so a failed ingest leaves
-    nothing at `out_dir` and a retry starts clean.
+    hidden sibling and renamed into place (`data.staged`), so a failed ingest
+    leaves nothing at `out_dir` and a retry starts clean.
     """
     out = Path(out_dir)
     if out.exists() and (not out.is_dir() or any(out.iterdir())):
         raise CorpusError(f"{out} is not an empty directory; ingest will not write into it")
     out.parent.mkdir(parents=True, exist_ok=True)
-    staging = temp_sibling(out)
-    staging.mkdir()
-    try:
-        _write_corpus(source, staging)
-        os.rename(staging, out)  # replaces a missing or empty directory only
-    except BaseException:
-        shutil.rmtree(staging, ignore_errors=True)
-        raise
+    with staged(out) as root:
+        root.mkdir()
+        _write_corpus(source, root)
     return Corpus(out)
 
 

@@ -1,12 +1,18 @@
-"""Shared record types and JSONL plumbing used across the package."""
+"""Shared record types, JSONL plumbing, and `staged`, the one code path that
+puts an artifact in place: each is built at a hidden sibling and renamed over
+its path, so a reader finds the earlier artifact, none, or the whole new one.
+"""
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import json
 import os
 import secrets
+import shutil
 import types
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache
 from operator import methodcaller
@@ -199,26 +205,42 @@ def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:
 
 
 def write_atomic(path: str | Path, lines: Iterable[str]) -> int:
-    """Write the lines to a temporary sibling, then rename it over `path`, so
-    a crash mid-write leaves no file at `path` rather than part of the text,
-    and a file already there as it was. The file gets the same permissions a
-    plain write would give it. Returns the number of lines written."""
-    tmp = temp_sibling(Path(path))
+    """Write the lines to `path` through `staged`, so a crash mid-write leaves
+    no file at `path` rather than part of the text, and a file already there
+    as it was. The file gets the same permissions a plain write would give
+    it. Returns the number of lines written."""
     n = 0
-    try:
-        with open(tmp, "x", encoding="utf-8") as fh:
-            for n, line in enumerate(lines, start=1):
-                fh.write(line)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    with staged(path) as tmp, open(tmp, "x", encoding="utf-8") as fh:
+        for n, line in enumerate(lines, start=1):
+            fh.write(line)
     return n
 
 
-def temp_sibling(path: Path) -> Path:
-    """A fresh hidden name beside `path`, to build what is renamed to it."""
-    return path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+@contextmanager
+def staged(path: str | Path) -> Iterator[Path]:
+    """Yield a fresh hidden sibling of `path`, `.NAME.<hex>.tmp`, to build a
+    file or a directory at; rename it over `path` when the block ends, or
+    remove it if the block raises. A directory already at `path` is renamed
+    aside to `.NAME.<hex>.old` and removed once the new one is in place."""
+    path = Path(path)
+    tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
+    try:
+        yield tmp
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:  # rename(2) replaces only an empty directory
+            if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+                raise
+            old = tmp.with_suffix(".old")
+            os.rename(path, old)
+            os.rename(tmp, path)
+            shutil.rmtree(old)
+    except BaseException:
+        if tmp.is_dir():
+            shutil.rmtree(tmp, ignore_errors=True)
+        else:
+            tmp.unlink(missing_ok=True)
+        raise
 
 
 def iter_records(path: str | Path, parse: Callable[[dict], T]) -> Iterator[T]:

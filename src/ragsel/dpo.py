@@ -11,7 +11,9 @@ computed in double precision through the stable softplus, so it stays finite
 for margins far beyond anything training produces. Log-probabilities arrive
 from files written by external scoring runs; nothing here tokenizes or runs
 a model, and gradient training is left to whatever trainer consumes the
-exported JSONL.
+exported JSONL. `export_training_file` checks that file at a hidden sibling
+and renames it into place only then (`data.staged`), so it is there whole or
+not at all.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .augment import ORDER_CHOSEN_FIRST, ORDER_REJECTED_FIRST, DpoPair
-from .data import MalformedRecordError, Record, iter_records, read_records, temp_sibling, write_jsonl
+from .data import MalformedRecordError, Record, iter_records, read_records, staged, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
 
@@ -116,8 +118,9 @@ def _validate_pair(pair: DpoPair, ordinal: int) -> None:
 
 
 def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> ExportSummary:
-    """Validate every pair, write the JSONL beside `out_path`, re-read it as a
-    final check, and only then rename it over `out_path`.
+    """Validate every pair, write the JSONL at a hidden sibling of
+    `out_path`, re-read it as a final check, and only then rename it over
+    `out_path` (`data.staged`).
 
     Each line's prompt is rendered from its pair as it is written, so it is
     the packaged selection prompt with chosen and rejected in the recorded
@@ -131,12 +134,11 @@ def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> Expo
     for ordinal, pair in enumerate(pairs, start=1):
         _validate_pair(pair, ordinal)
     out = Path(out_path)
-    staged = temp_sibling(out)
-    try:
-        write_jsonl(staged, (pair.to_dict() for pair in pairs))
+    with staged(out) as tmp:
+        write_jsonl(tmp, (pair.to_dict() for pair in pairs))
         read = 0
         try:
-            for read, decoded in enumerate(iter_records(staged, DpoPair.from_dict), start=1):
+            for read, decoded in enumerate(iter_records(tmp, DpoPair.from_dict), start=1):
                 if read <= len(pairs) and decoded != pairs[read - 1]:
                     raise DpoError(f"re-read validation failed: pair {read} (queries "
                                    f"{pairs[read - 1].source_query_ids}) does not read back as written")
@@ -144,9 +146,6 @@ def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> Expo
             raise DpoError(f"re-read validation failed: {exc}") from None
         if read != len(pairs):
             raise DpoError(f"re-read validation failed: wrote {len(pairs)} pairs, read {read}")
-        staged.replace(out)
-    finally:
-        staged.unlink(missing_ok=True)
     by_origin: dict[str, int] = {}
     for pair in pairs:
         by_origin[pair.negative_origin] = by_origin.get(pair.negative_origin, 0) + 1

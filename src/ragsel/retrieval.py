@@ -18,7 +18,10 @@ one float64 `np.bincount` of every query's term impacts over CSR postings
 passage's score is the same sequence of additions as the per-document
 formula, whatever the block. Impacts are not stored: an index directory holds
 `index.json` (format, version, k1, b, passage ids, terms) and one `.npy` file
-per array in `INDEX_ARRAYS`.
+per array in `INDEX_ARRAYS`. `Bm25Index.save` builds the directory at a
+hidden sibling and renames it into place (`data.staged`), so a rebuild that
+dies partway leaves the earlier index or none, never an old header over new
+arrays.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .corpus import Corpus
+from .data import staged
 from .errors import RagselError
 
 INDEX_FILE = "index.json"
@@ -251,10 +255,8 @@ class Bm25Index:
 
     def save(self, out_dir: str | Path) -> Path:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        out.parent.mkdir(parents=True, exist_ok=True)
         p = self.postings
-        for name, array in zip(INDEX_ARRAYS, (p.term_ptr, p.rows, p.tfs, p.lengths)):
-            np.save(out / f"{name}.npy", array, allow_pickle=False)
         header = {
             "format": INDEX_FORMAT,
             "version": INDEX_VERSION,
@@ -264,9 +266,12 @@ class Bm25Index:
             "ids": self.ids,
             "terms": p.terms,
         }
-        path = out / INDEX_FILE
-        path.write_text(json.dumps(header, ensure_ascii=False), encoding="utf-8")
-        return path
+        with staged(out) as tmp:
+            tmp.mkdir()
+            for name, array in zip(INDEX_ARRAYS, (p.term_ptr, p.rows, p.tfs, p.lengths)):
+                np.save(tmp / f"{name}.npy", array, allow_pickle=False)
+            (tmp / INDEX_FILE).write_text(json.dumps(header, ensure_ascii=False), encoding="utf-8")
+        return out / INDEX_FILE
 
     @classmethod
     def load(cls, index_dir: str | Path) -> "Bm25Index":
