@@ -50,7 +50,7 @@ from . import rgp as rgp_mod
 from .data import load_qa_file, write_atomic
 from .errors import RagselError
 from .llm import Backend, CachedBackend, HttpBackend, ScriptedBackend
-from .manifest import MANIFEST_NAME, write_manifest
+from .manifest import write_manifest
 from .retrieval import Bm25Index, RetrievalConfig, build_index, index_files
 
 
@@ -237,9 +237,6 @@ def cmd_corpus_ingest(args) -> Outcome:
 
 
 def cmd_index_build(args) -> Outcome:
-    out = Path(args.out)
-    if out.is_dir() and not {p.name for p in out.iterdir()} <= {p.name for p in index_files(out)} | {MANIFEST_NAME}:
-        raise RagselError(f"{out} holds files that are not an index's; index build replaces only an index directory")
     handle = corpus_mod.Corpus(args.corpus)
     index = build_index(handle, RetrievalConfig(k1=args.k1, b=args.b))
     index.save(args.out)

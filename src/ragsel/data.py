@@ -17,7 +17,7 @@ from dataclasses import dataclass, fields
 from functools import cache
 from operator import methodcaller
 from pathlib import Path
-from typing import Any, Callable, Iterable, Iterator, TypeVar, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Collection, Iterable, Iterator, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from .errors import RagselError
 
@@ -217,11 +217,13 @@ def write_atomic(path: str | Path, lines: Iterable[str]) -> int:
 
 
 @contextmanager
-def staged(path: str | Path) -> Iterator[Path]:
+def staged(path: str | Path, replaces: Collection[str] = ()) -> Iterator[Path]:
     """Yield a fresh hidden sibling of `path`, `.NAME.<hex>.tmp`, to build a
     file or a directory at; rename it over `path` when the block ends, or
-    remove it if the block raises. A directory already at `path` is renamed
-    aside to `.NAME.<hex>.old` and removed once the new one is in place."""
+    remove it if the block raises. A directory already at `path` that holds
+    nothing but `replaces` names is renamed aside to `.NAME.<hex>.old` and
+    removed once the new one is in place; any other non-empty directory is
+    refused, as rename(2) refuses it, and left as it was."""
     path = Path(path)
     tmp = path.parent / f".{path.name}.{secrets.token_hex(8)}.tmp"
     try:
@@ -229,12 +231,16 @@ def staged(path: str | Path) -> Iterator[Path]:
         try:
             os.replace(tmp, path)
         except OSError as exc:  # rename(2) replaces only an empty directory
-            if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST):
+            if exc.errno not in (errno.ENOTEMPTY, errno.EEXIST) or not set(os.listdir(path)) <= set(replaces):
                 raise
             old = tmp.with_suffix(".old")
             os.rename(path, old)
-            os.rename(tmp, path)
-            shutil.rmtree(old)
+            try:
+                os.rename(tmp, path)
+            except BaseException:
+                os.rename(old, path)
+                raise
+            shutil.rmtree(old, ignore_errors=True)
     except BaseException:
         if tmp.is_dir():
             shutil.rmtree(tmp, ignore_errors=True)

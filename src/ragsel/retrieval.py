@@ -21,7 +21,8 @@ formula, whatever the block. Impacts are not stored: an index directory holds
 per array in `INDEX_ARRAYS`. `Bm25Index.save` builds the directory at a
 hidden sibling and renames it into place (`data.staged`), so a rebuild that
 dies partway leaves the earlier index or none, never an old header over new
-arrays.
+arrays. It replaces only a directory that holds nothing but an index and its
+manifest.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ import numpy as np
 from .corpus import Corpus
 from .data import staged
 from .errors import RagselError
+from .manifest import MANIFEST_NAME
 
 INDEX_FILE = "index.json"
 INDEX_FORMAT = "ragsel-bm25-index"
@@ -254,6 +256,9 @@ class Bm25Index:
         return next(self.retrieve_many([query], top_k))
 
     def save(self, out_dir: str | Path) -> Path:
+        """Write the index to `out_dir`, which must be missing, empty, or an
+        index directory (its files and `manifest.json`, which it replaces); any
+        other path is an OSError that leaves it as it was."""
         out = Path(out_dir)
         out.parent.mkdir(parents=True, exist_ok=True)
         p = self.postings
@@ -266,7 +271,7 @@ class Bm25Index:
             "ids": self.ids,
             "terms": p.terms,
         }
-        with staged(out) as tmp:
+        with staged(out, {f.name for f in index_files(out)} | {MANIFEST_NAME}) as tmp:
             tmp.mkdir()
             for name, array in zip(INDEX_ARRAYS, (p.term_ptr, p.rows, p.tfs, p.lengths)):
                 np.save(tmp / f"{name}.npy", array, allow_pickle=False)

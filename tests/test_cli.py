@@ -455,20 +455,6 @@ def test_index_build_total_tokens_match_brute_force(tmp_path, capsys):
     assert built["total_tokens"] == sum(len(tokenize(r["text"])) for r in records)
 
 
-def test_index_build_over_an_index_answers_from_the_new_corpus_and_leaves_no_sibling(tmp_path, capsys):
-    _write_jsonl(tmp_path / "a.jsonl", [{"id": "a1", "text": "apple pie recipe"}, {"id": "a2", "text": "pear tart"}])
-    _write_jsonl(tmp_path / "c.jsonl", [{"id": "a1", "text": "tart pear"}, {"id": "a2", "text": "recipe pie apple"}])
-    index = str(tmp_path / "index")
-    for name in ("a", "c"):
-        corpus = str(tmp_path / f"corpus-{name}")
-        assert main(["corpus", "ingest", "--passages", str(tmp_path / f"{name}.jsonl"), "--out", corpus]) == 0
-        assert main(["index", "build", "--corpus", corpus, "--out", index]) == 0
-    capsys.readouterr()
-    assert main(["retrieve", "--index", index, "--query", "apple"]) == 0
-    assert json.loads(capsys.readouterr().out)["hits"] == [["a2", pytest.approx(0.6407, abs=1e-4)]]
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.jsonl", "c.jsonl", "corpus-a", "corpus-c", "index"]
-
-
 @pytest.mark.parametrize("kind", ["regular-file", "corpus-directory"])
 def test_index_build_replaces_nothing_but_an_index(tmp_path, capsys, kind):
     """Built beside `--out` and renamed over it, an index cannot replace a

@@ -27,10 +27,11 @@ import numpy as np
 import pytest
 
 from ragsel.cli import main
-from ragsel.corpus import Corpus, CorpusError
+from ragsel.corpus import Corpus, CorpusError, ingest
 from ragsel.data import MalformedRecordError, staged
 from ragsel.dpo import load_pairs
 from ragsel.manifest import RunManifest
+from ragsel.retrieval import build_index
 from ragsel.rgp import load_instances
 
 KILLED = 137
@@ -74,15 +75,47 @@ class TestStaged:
         assert _tree(out) == before
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
 
-    def test_a_directory_replaces_a_non_empty_directory_and_leaves_no_old_one(self, tmp_path):
+    def test_a_directory_replaces_a_directory_of_replaceable_names_and_leaves_no_old_one(self, tmp_path):
         out = tmp_path / "index"
         out.mkdir()
         (out / "index.json").write_bytes(b"old")
         (out / "rows.npy").write_bytes(b"old rows")
-        with staged(out) as tmp:
+        with staged(out, {"index.json", "rows.npy", "manifest.json"}) as tmp:
             tmp.mkdir()
             (tmp / "index.json").write_bytes(b"new")
         assert _tree(out) == {"index.json": b"new"}
+        assert [p.name for p in tmp_path.iterdir()] == ["index"]
+
+    @pytest.mark.parametrize("replaces", [(), ("index.json",)])
+    def test_a_directory_holding_other_names_is_refused_and_left_as_it_was(self, tmp_path, replaces):
+        out = tmp_path / "index"
+        out.mkdir()
+        (out / "index.json").write_bytes(b"old")
+        (out / "notes.txt").write_bytes(b"mine")
+        with pytest.raises(OSError):
+            with staged(out, replaces) as tmp:
+                tmp.mkdir()
+                (tmp / "index.json").write_bytes(b"new")
+        assert _tree(out) == {"index.json": b"old", "notes.txt": b"mine"}
+        assert [p.name for p in tmp_path.iterdir()] == ["index"]
+
+    def test_a_failed_rename_into_place_puts_the_earlier_directory_back(self, tmp_path, monkeypatch):
+        out = tmp_path / "index"
+        out.mkdir()
+        (out / "index.json").write_bytes(b"old")
+        rename, calls = os.rename, itertools.count(1)
+
+        def second_fails(src, dst):
+            if next(calls) == 2:
+                raise OSError("rename refused")
+            rename(src, dst)
+
+        monkeypatch.setattr(os, "rename", second_fails)
+        with pytest.raises(OSError, match="rename refused"):
+            with staged(out, {"index.json"}) as tmp:
+                tmp.mkdir()
+                (tmp / "index.json").write_bytes(b"new")
+        assert _tree(out) == {"index.json": b"old"}
         assert [p.name for p in tmp_path.iterdir()] == ["index"]
 
     def test_a_directory_over_a_regular_file_is_an_oserror_that_leaves_the_file(self, tmp_path):
@@ -94,6 +127,34 @@ class TestStaged:
                 (tmp / "index.json").write_bytes(b"new")
         assert out.read_bytes() == b"not a directory\n"
         assert [p.name for p in tmp_path.iterdir()] == ["index"]
+
+
+def test_save_refuses_a_directory_that_is_not_an_index(tmp_path):
+    _write_jsonl(tmp_path / "p.jsonl", [{"id": "a1", "text": "apple pie"}])
+    index = build_index(ingest(tmp_path / "p.jsonl", tmp_path / "corpus"))
+    out = tmp_path / "notes"
+    out.mkdir()
+    (out / "todo.txt").write_bytes(b"mine")
+    with pytest.raises(OSError):
+        index.save(out)
+    assert _tree(out) == {"todo.txt": b"mine"}
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "notes", "p.jsonl"]
+
+
+def test_ingest_refuses_a_corpus_that_another_ingest_put_in_place_meanwhile(tmp_path):
+    """Two ingests to one `--out`: the one that finishes second fails and
+    leaves the first one's corpus as it was."""
+    _write_jsonl(tmp_path / "p.jsonl", [{"id": "a1", "text": "apple pie"}])
+    out = tmp_path / "corpus"
+
+    def passages():
+        ingest(tmp_path / "p.jsonl", out)  # the other ingest, done after this one's check of `out`
+        yield {"id": "b1", "text": "pear tart"}
+
+    with pytest.raises(OSError):
+        ingest(passages(), out)
+    assert [(p.id, p.text) for p in Corpus(out)] == [("a1", "apple pie")]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "p.jsonl"]
 
 
 @contextlib.contextmanager
@@ -321,3 +382,4 @@ def test_a_command_killed_at_any_write_leaves_each_output_whole_or_as_it_was(inp
         assert k < 50
     assert code == 0
     assert read(w) == views[1]
+    assert list(w.rglob(".*")) == []  # a run that completes leaves no sibling
