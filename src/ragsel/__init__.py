@@ -21,7 +21,6 @@ from .pipeline import (
     PromptSet,
     SelectionRecord,
     gen_llm_answer,
-    gen_rag_answer,
     parse_response,
     run_dataset,
     select,
@@ -73,7 +72,6 @@ __all__ = [
     "filter_instance",
     "fingerprint",
     "gen_llm_answer",
-    "gen_rag_answer",
     "ingest",
     "judge",
     "load_qa_file",

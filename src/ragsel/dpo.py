@@ -55,8 +55,10 @@ class LogProbRecord(Record):
 
     def __post_init__(self):
         for name in _LOGPROB_FIELDS:
-            value = float(getattr(self, name))  # a JSON integer is held as a float
-            object.__setattr__(self, name, value)
+            value = getattr(self, name)
+            if type(value) is not float:  # a JSON integer is held as a float
+                value = float(value)
+                object.__setattr__(self, name, value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
             if value > 0:

@@ -173,18 +173,14 @@ def _pieces(template: str, keys: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(piece[1:-1] if n % 2 else piece for n, piece in enumerate(re.split(f"({slots})", template)))
 
 
-def _join(pieces: Sequence[str], values: dict[str, str]) -> str:
-    parts = list(pieces)
-    for n in range(1, len(parts), 2):
-        parts[n] = values[parts[n]]
-    return "".join(parts)
-
-
 def fill_template(template: str, **values: str) -> str:
     """The template with each `{key}` placeholder replaced by its value, in
     one pass: a value is inserted as it is, also when it holds a placeholder
     itself. Any other brace is left as it stands."""
-    return _join(_pieces(template, tuple(values)), values)
+    parts = list(_pieces(template, tuple(values)))
+    for n in range(1, len(parts), 2):
+        parts[n] = values[parts[n]]
+    return "".join(parts)
 
 
 def select_prompt(question: str, candidate_1: str, candidate_2: str) -> str:
@@ -196,24 +192,39 @@ def select_prompt(question: str, candidate_1: str, candidate_2: str) -> str:
 
 
 @functools.cache
-def _around_question() -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The selection template's pieces before and after its one question slot."""
+def _around_question() -> tuple[tuple[str | int, ...], tuple[str | int, ...]]:
+    """The selection template's pieces before its one question slot, and
+    those after it, last first. A candidate slot is marked by its index into
+    (candidate_1, candidate_2)."""
     pieces = _pieces(load_template("select"), ("question", "candidate_1", "candidate_2"))
     at = 2 * pieces[1::2].index("question") + 1
-    return pieces[:at], pieces[at + 1 :]
+    slot = {"question": None, "candidate_1": 0, "candidate_2": 1}
+    marked = tuple(slot[piece] if n % 2 else piece for n, piece in enumerate(pieces))
+    return marked[:at], marked[:at:-1]
 
 
 def select_question(prompt: str, candidate_1: str, candidate_2: str) -> str | None:
     """The question q for which select_prompt(q, candidate_1, candidate_2)
     is `prompt`, or None when there is none. The packaged template holds the
     question once, so the text around it is fixed by the two candidates and
-    the question is what lies between."""
+    the question is what lies between. Each piece of that text is checked in
+    place, the tail's within what the head leaves."""
     before, after = _around_question()
-    candidates = {"candidate_1": candidate_1, "candidate_2": candidate_2}
-    head, tail = _join(before, candidates), _join(after, candidates)
-    if len(prompt) < len(head) + len(tail) or not (prompt.startswith(head) and prompt.endswith(tail)):
-        return None
-    return prompt[len(head) : len(prompt) - len(tail)]
+    candidates = (candidate_1, candidate_2)
+    start, end = 0, len(prompt)
+    for piece in before:
+        if type(piece) is int:
+            piece = candidates[piece]
+        if not prompt.startswith(piece, start):
+            return None
+        start += len(piece)
+    for piece in after:
+        if type(piece) is int:
+            piece = candidates[piece]
+        if not prompt.endswith(piece, start, end):
+            return None
+        end -= len(piece)
+    return prompt[start:end]
 
 
 @dataclass
@@ -283,41 +294,6 @@ def gen_llm_answer(
     return CandidateResponse.from_raw(raw, SOURCE_INTERNAL)
 
 
-def fit_passages(
-    prompts: PromptSet, question: str, passages: Sequence[Passage], budget: int | None
-) -> list[Passage]:
-    """Drop lowest-ranked passages until the rendered prompt fits the character
-    budget; never drops below one passage."""
-    if budget is None:
-        return list(passages)
-    kept = list(passages)
-    while len(kept) > 1 and len(prompts.rag_prompt(question, kept)) > budget:
-        kept.pop()
-    return kept
-
-
-def gen_rag_answer(
-    backend: Backend,
-    prompts: PromptSet,
-    question: str,
-    passages: Sequence[Passage],
-    *,
-    budget: int | None = None,
-    max_tokens: int = 512,
-) -> tuple[CandidateResponse, list[str]]:
-    """Candidate grounded in the given passages (rank order, numbered).
-
-    Returns the candidate and the ids of the passages that actually made it
-    into the prompt after any budget truncation.
-    """
-    if not passages:
-        raise PipelineError("gen_rag_answer requires at least one passage")
-    kept = fit_passages(prompts, question, passages, budget)
-    prompt = prompts.rag_prompt(question, kept)
-    raw = backend.complete(GenRequest(user_prompt=prompt, max_tokens=max_tokens))
-    return CandidateResponse.from_raw(raw, SOURCE_RETRIEVAL), [p.id for p in kept]
-
-
 def gen_retrieved_answer(
     backend: Backend,
     prompts: PromptSet,
@@ -328,14 +304,21 @@ def gen_retrieved_answer(
     budget: int | None = None,
     max_tokens: int = 512,
 ) -> tuple[CandidateResponse, list[str]] | None:
-    """Fetch the passages of retrieval hits, best first, and answer from them
-    as gen_rag_answer does. Returns None, with no backend call, when there
-    are no hits: each caller has its own policy for an item without passages.
+    """Candidate grounded in the passages of retrieval hits, numbered best
+    first. The lowest-ranked passages are dropped until the prompt fits the
+    character budget, never below one. Returns the candidate and the ids of
+    the passages in its prompt, or None, with no backend call, when there are
+    no hits: each caller has its own policy for an item without passages.
     """
-    passages = [corpus.get(pid) for pid, _score in hits]
-    if not passages:
+    kept = [corpus.get(pid) for pid, _score in hits]
+    if not kept:
         return None
-    return gen_rag_answer(backend, prompts, question, passages, budget=budget, max_tokens=max_tokens)
+    prompt = prompts.rag_prompt(question, kept)
+    while budget is not None and len(kept) > 1 and len(prompt) > budget:
+        kept.pop()
+        prompt = prompts.rag_prompt(question, kept)
+    raw = backend.complete(GenRequest(user_prompt=prompt, max_tokens=max_tokens))
+    return CandidateResponse.from_raw(raw, SOURCE_RETRIEVAL), [p.id for p in kept]
 
 
 def _map_items(fn: Callable, items: Iterable, backend: Backend) -> Iterator:

@@ -359,6 +359,6 @@ def build_index(corpus: Corpus, config: RetrievalConfig | None = None) -> Bm25In
         b=config.b,
         ids=[pid for pid, _tokens in docs],
         postings=Postings.build([tokens for _pid, tokens in docs]),
-        corpus_path=str(corpus.root),
+        corpus_path=str(corpus.root.absolute()),
     )
 

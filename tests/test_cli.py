@@ -475,6 +475,35 @@ def test_index_build_replaces_nothing_but_an_index(tmp_path, capsys, kind):
     assert {p.name for p in tmp_path.iterdir()} == {"corpus", "p.jsonl", out.name}
 
 
+def test_an_index_built_from_a_relative_corpus_path_answers_from_that_corpus(tmp_path, capsys, monkeypatch):
+    """The index records its corpus's absolute path: read from a directory
+    that holds another `corpus`, it still answers from the indexed text, and
+    once that corpus has moved it asks for --corpus."""
+    a, b = tmp_path / "a", tmp_path / "b"
+    for root, text in ((a, "alpha apple"), (b, "bravo banana")):
+        root.mkdir()
+        _write_jsonl(root / "p.jsonl", [{"id": "d1", "text": text}])
+        assert main(["corpus", "ingest", "--passages", str(root / "p.jsonl"), "--out", str(root / "corpus")]) == 0
+    _write_jsonl(tmp_path / "qa.jsonl", [{"id": "q1", "question": "alpha?", "golden_answers": ["apple"]}])
+    _write_jsonl(
+        tmp_path / "script.jsonl",
+        [
+            {"match_key": "using the passages&&alpha apple", "reply": "Answer: from a"},
+            {"match_key": "using the passages&&bravo banana", "reply": "Answer: from b"},
+        ],
+    )
+    monkeypatch.chdir(a)
+    assert main(["index", "build", "--corpus", "corpus", "--out", "idx"]) == 0
+    monkeypatch.chdir(b)
+    argv = ["run", "--mode", "standard-rag", "--qa", "../qa.jsonl", "--index", "../a/idx", "--script", "../script.jsonl"]
+    assert main([*argv, "--out", "r.jsonl"]) == 0
+    assert json.loads((b / "r.jsonl").read_text())["final_answer"] == "from a"
+    (a / "corpus").rename(a / "moved")
+    capsys.readouterr()
+    assert main([*argv, "--out", "r2.jsonl"]) == 1
+    assert "cannot locate the corpus" in json.loads(capsys.readouterr().err.strip().splitlines()[-1])["message"]
+
+
 def test_a_corpus_with_an_older_stats_file_serves_every_command(tmp_path, capsys):
     """Older releases also wrote stats.json; it changes no output and no manifest."""
     passages_path, qa_path, script_path = _desk_inputs(tmp_path)

@@ -209,6 +209,15 @@ class TestExport:
             export_training_file(load_pairs(first), second)
             assert first.read_bytes() == second.read_bytes()
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_PROMPT_TEXT, _PROMPT_TEXT, _PROMPT_TEXT, st.integers(min_value=0), st.integers(min_value=0, max_value=3))
+    def test_a_question_read_back_renders_the_prompt_it_was_read_from(self, query, chosen, rejected, at, cut):
+        prompt = select_prompt(query, chosen, rejected)
+        at %= len(prompt) + 1
+        damaged = prompt[:at] + prompt[at + cut :]
+        found = select_question(damaged, chosen, rejected)
+        assert found is None or select_prompt(found, chosen, rejected) == damaged
+
     def test_writes_and_counts(self, tmp_path):
         pairs = [_pair(i, order="chosen_first" if i % 2 else "rejected_first") for i in range(5)]
         out = tmp_path / "pairs.jsonl"
@@ -362,3 +371,11 @@ class TestLogProbFile:
         )
         with pytest.raises(MalformedRecordError):
             load_logprob_file(path)
+
+    def test_a_json_integer_is_held_as_a_float(self, tmp_path):
+        path = tmp_path / "lp.jsonl"
+        fields = {"logp_policy_chosen": -1, "logp_ref_chosen": -2.0, "logp_policy_rejected": 0, "logp_ref_rejected": -3}
+        path.write_text(json.dumps({"pair_id": "p1", **fields}) + "\n")
+        (record,) = load_logprob_file(path)
+        assert [type(getattr(record, name)) for name in fields] == [float] * 4
+        assert record == _record("p1", -1.0, -2.0, 0.0, -3.0)

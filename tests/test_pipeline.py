@@ -27,9 +27,8 @@ from ragsel.pipeline import (
     SOURCE_INTERNAL,
     SOURCE_RETRIEVAL,
     audit_selection,
-    fit_passages,
     gen_llm_answer,
-    gen_rag_answer,
+    gen_retrieved_answer,
     load_records,
     load_template,
     parse_response,
@@ -170,62 +169,94 @@ class TestGenLlmAnswer:
         assert candidate.raw_text == "I refuse to follow the format"
 
 
-class TestGenRagAnswer:
-    def test_prompt_lists_passages_in_rank_order(self):
-        seen = {}
+def _corpus_of(tmp_path, passages):
+    return make_corpus(tmp_path, [{"id": p.id, "title": p.title, "text": p.text} for p in passages])
 
-        class Spy:
-            tag = "spy"
 
-            def complete(self, request):
-                seen["prompt"] = request.user_prompt
-                return "Explanation: from passages. Answer: ok"
+def _hits(passages):
+    return [(p.id, float(len(passages) - rank)) for rank, p in enumerate(passages)]
 
+
+class _Spy:
+    tag = "spy"
+
+    def __init__(self):
+        self.prompts = []
+
+    def complete(self, request):
+        self.prompts.append(request.user_prompt)
+        return "Explanation: from passages. Answer: ok"
+
+
+class TestGenRetrievedAnswer:
+    def test_prompt_lists_passages_in_rank_order(self, tmp_path):
         passages = _passages(5)
-        candidate, used = gen_rag_answer(Spy(), PromptSet.default(), "q?", passages)
+        ranked = passages[2:] + passages[:2]  # hit order, not corpus order
+        spy = _Spy()
+        candidate, used = gen_retrieved_answer(
+            spy, PromptSet.default(), "q?", _hits(ranked), _corpus_of(tmp_path, passages)
+        )
         assert candidate.source == SOURCE_RETRIEVAL
-        assert used == [p.id for p in passages]
-        prompt = seen["prompt"]
-        positions = [prompt.index(f"[{k}]") for k in range(1, 6)]
+        assert used == [p.id for p in ranked]
+        assert spy.prompts == [PromptSet.default().rag_prompt("q?", ranked)]
+        positions = [spy.prompts[0].index(p.text) for p in ranked]
         assert positions == sorted(positions)
 
-    def test_zero_passages_is_a_precondition_error(self):
-        backend = ScriptedBackend({"q": "Answer: x"})
-        with pytest.raises(Exception, match="at least one passage"):
-            gen_rag_answer(backend, PromptSet.default(), "q", [])
+    def test_no_hits_gives_none_with_zero_backend_calls(self, tmp_path):
+        spy = _Spy()
+        assert gen_retrieved_answer(spy, PromptSet.default(), "q?", [], _corpus_of(tmp_path, _passages(2))) is None
+        assert spy.prompts == []
 
-    def test_budget_truncates_lowest_ranked(self):
-        prompts = PromptSet.default()
+    def test_budget_truncates_lowest_ranked(self, tmp_path):
+        rendered = []
+
+        class CountingPrompts(PromptSet):
+            def rag_prompt(self, question, passages):
+                rendered.append(len(passages))
+                return super().rag_prompt(question, passages)
+
         passages = _passages(5, words=30)
-        budget = len(prompts.rag_prompt("q?", passages[:3]))
-        backend = ScriptedBackend({"q": "Answer: x"})
-        _cand, used = gen_rag_answer(backend, prompts, "q?", passages, budget=budget)
+        budget = len(PromptSet.default().rag_prompt("q?", passages[:3]))
+        spy = _Spy()
+        _cand, used = gen_retrieved_answer(
+            spy, CountingPrompts(), "q?", _hits(passages), _corpus_of(tmp_path, passages), budget=budget
+        )
         assert used == [p.id for p in passages[:3]]
+        assert spy.prompts == [PromptSet.default().rag_prompt("q?", passages[:3])]
+        assert rendered == [5, 4, 3]  # the prompt sent is the last one rendered, not rendered again
 
-    def test_budget_never_drops_below_one(self):
+    def test_budget_never_drops_below_one(self, tmp_path):
         prompts = PromptSet.default()
         passages = _passages(3, words=50)
-        assert [p.id for p in fit_passages(prompts, "q?", passages, budget=10)] == [passages[0].id]
+        spy = _Spy()
+        _cand, used = gen_retrieved_answer(
+            spy, prompts, "q?", _hits(passages), _corpus_of(tmp_path, passages), budget=10
+        )
+        assert used == [passages[0].id]
+        assert spy.prompts == [prompts.rag_prompt("q?", passages[:1])]
 
 
-def _candidate_pair():
+@pytest.fixture
+def candidate_pair(tmp_path):
     internal = gen_llm_answer(
         ScriptedBackend({"llm probe": "Explanation: from memory. Answer: New tab"}),
         PromptSet.default(),
         "llm probe",
     )
-    grounded = gen_rag_answer(
+    passages = _passages(1)
+    grounded = gen_retrieved_answer(
         ScriptedBackend({"rag probe": "Explanation: from passages. Answer: T"}),
         PromptSet.default(),
         "rag probe",
-        _passages(1),
+        _hits(passages),
+        _corpus_of(tmp_path, passages),
     )[0]
     return internal, grounded
 
 
 class TestSelect:
-    def test_selector_restating_internal_answer(self):
-        internal, grounded = _candidate_pair()
+    def test_selector_restating_internal_answer(self, candidate_pair):
+        internal, grounded = candidate_pair
         selector = ScriptedBackend(
             {"two candidate responses": "Explanation: Reopens the tab. Answer: New tab"}
         )
@@ -237,15 +268,15 @@ class TestSelect:
         assert record.final_answer == "New tab"
         assert record.passages_used == ["p1"]
 
-    def test_reply_matching_neither_is_flagged(self):
-        internal, grounded = _candidate_pair()
+    def test_reply_matching_neither_is_flagged(self, candidate_pair):
+        internal, grounded = candidate_pair
         selector = ScriptedBackend({"two candidate responses": "Answer: Zebra stripes"})
         record = select(selector, "q?", internal, grounded, 0)
         assert record.chosen_source == CHOSEN_NEITHER
         assert record.selector_raw == "Answer: Zebra stripes"
 
-    def test_containment_fallback(self):
-        internal, grounded = _candidate_pair()
+    def test_containment_fallback(self, candidate_pair):
+        internal, grounded = candidate_pair
         selector = ScriptedBackend(
             {"two candidate responses": "Answer: the shortcut opens a New Tab right away"}
         )
@@ -253,8 +284,8 @@ class TestSelect:
         assert record.chosen_source == SOURCE_INTERNAL
         assert record.final_answer == internal.answer
 
-    def test_order_seed_flips_presentation_not_choice(self):
-        internal, grounded = _candidate_pair()
+    def test_order_seed_flips_presentation_not_choice(self, candidate_pair):
+        internal, grounded = candidate_pair
         # Keyed on candidate content ("new tab"), not position.
         selector = ScriptedBackend(
             {"two candidate responses&&new tab": "Explanation: Reopens. Answer: New tab"}
@@ -272,8 +303,8 @@ class TestSelect:
 
 
 class TestOneSelectionPrompt:
-    def test_select_and_expand_send_select_prompt_of_their_ordered_candidates(self):
-        internal, grounded = _candidate_pair()
+    def test_select_and_expand_send_select_prompt_of_their_ordered_candidates(self, candidate_pair):
+        internal, grounded = candidate_pair
         sent = []
 
         class Spy:
