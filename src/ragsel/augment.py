@@ -252,25 +252,16 @@ def augment_dataset(
         neighbor_map = mine_neighbors(dataset, k)
 
     rendered = {inst.query_id: _rendered(inst) for inst in dataset}
-    report = AugmentReport(instances=len(dataset))
     pairs: list[DpoPair] = []
+    collision_dropped = 0
     for instance in dataset:
         neighbors = neighbor_map.get(instance.query_id)
         seed = stable_hash_int(order_seed, instance.query_id)
         expanded = expand(instance, neighbors, lookup, order_seed=seed, rendered=rendered)
         possible = 1 + 2 * len(neighbors.neighbors) if neighbors is not None else 1
-        report.collision_dropped += possible - len(expanded)
-        for pair in expanded:
-            report.pairs += 1
-            if pair.negative_origin == ORIGIN_OWN_NEGATIVE:
-                report.own_negative += 1
-            elif pair.negative_origin == ORIGIN_NEIGHBOR_POSITIVE:
-                report.neighbor_positive += 1
-            else:
-                report.neighbor_negative += 1
-            if pair.order == ORDER_CHOSEN_FIRST:
-                report.chosen_first += 1
-            else:
-                report.rejected_first += 1
+        collision_dropped += possible - len(expanded)
         pairs.extend(expanded)
+    # Each pair's origin and order are the names of the report's counts.
+    counts = Counter(pair.negative_origin for pair in pairs) + Counter(pair.order for pair in pairs)
+    report = AugmentReport(instances=len(dataset), pairs=len(pairs), collision_dropped=collision_dropped, **counts)
     return pairs, report

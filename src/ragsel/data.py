@@ -9,12 +9,14 @@ import errno
 import hashlib
 import json
 import os
+import re
 import secrets
 import shutil
 import types
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from functools import cache
+from itertools import islice
 from operator import methodcaller
 from pathlib import Path
 from typing import Any, Callable, Collection, Iterable, Iterator, TypeVar, Union, get_args, get_origin, get_type_hints
@@ -184,18 +186,40 @@ class QAPair(Record):
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (line_no, record) for each non-blank line; line numbers are 1-based."""
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(line_no, f"invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise MalformedRecordError(line_no, "record is not an object")
-            yield line_no, obj
+    """Yield (line_no, record) for each non-blank line; line numbers are
+    1-based. The first bad line stops the read with a MalformedRecordError
+    naming it: a line that is not UTF-8 text, not JSON, or not an object."""
+    line_no = 0
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line_no, obj in _records(enumerate(fh, start=1)):
+                yield line_no, obj
+    except UnicodeDecodeError:
+        # The reader decodes a block at a time, so the lines before the bad
+        # byte in its block are not read yet: read on from the last line
+        # yielded, each bad byte kept as a lone surrogate, which UTF-8 never
+        # decodes to.
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            yield from _records(islice(enumerate(fh, start=1), line_no, None), escaped=True)
+
+
+_ESCAPED_BYTE = re.compile("[\\udc80-\\udcff]")
+
+
+def _records(lines: Iterable[tuple[int, str]], escaped: bool = False) -> Iterator[tuple[int, dict]]:
+    """read_jsonl's loop over numbered lines; `escaped` lines were read with "surrogateescape"."""
+    for line_no, line in lines:
+        if not line.strip():
+            continue
+        if escaped and (bad := _ESCAPED_BYTE.search(line)):
+            raise MalformedRecordError(line_no, f"not UTF-8 text (byte 0x{ord(bad[0]) - 0xDC00:02x})")
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise MalformedRecordError(line_no, f"invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise MalformedRecordError(line_no, "record is not an object")
+        yield line_no, obj
 
 
 def write_jsonl(path: str | Path, rows: Iterable[dict]) -> int:

@@ -38,7 +38,7 @@ from .corpus import Passage
 from .data import QAPair, Record, decode_failure, read_records, stable_hash_int, write_jsonl
 from .errors import RagselError
 from .evaluation import normalize
-from .llm import Backend, GatewayError, GenRequest, in_flight_cap
+from .llm import Backend, GenRequest, in_flight_cap
 from .retrieval import RetrievalResult
 
 SOURCE_INTERNAL = "internal"
@@ -145,9 +145,12 @@ def load_template(name: str) -> str:
 
 def _load_exemplars(path: str | Path) -> list[Exemplar]:
     """A JSON list of {"question", "explanation", "answer"} objects; a file
-    or item of another shape is a PromptTemplateError naming the exemplar."""
+    that is not UTF-8 JSON, or of another shape, is a PromptTemplateError, and
+    so is an item of another shape, naming the exemplar."""
     try:
         rows = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise PromptTemplateError(f"exemplar file is not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise PromptTemplateError(f"exemplar file is not JSON ({exc.msg})") from exc
     if not isinstance(rows, list):
@@ -492,7 +495,7 @@ def run_dataset(
                 passages_used=used,
                 max_tokens=max_tokens,
             )
-        except (GatewayError, RagselError) as exc:
+        except RagselError as exc:
             return SelectionRecord(
                 id=qa.id,
                 query=qa.question,

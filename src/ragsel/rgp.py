@@ -9,14 +9,15 @@ from the top of that query's BM25 hits; build retrieves the hits for a block
 of questions at once. Both candidates come from pipeline's gen_llm_answer and
 gen_retrieved_answer, the memory-only one first. Judging is either lexical
 (deterministic: normalized equality or containment of a gold) or delegated
-to a model answering Yes/No. An item whose generation or judging fails is
-quarantined with its reason, and the batch always completes.
+to a model answering Yes/No. Each item is generated, judged and filtered in
+one step in the item pool; one that fails is quarantined with its reason.
 """
 
 from __future__ import annotations
 
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -143,7 +144,7 @@ def generate_candidates(
         retrieved = gen_retrieved_answer(
             backend, prompts, qa.question, hits[:n_requested], corpus, max_tokens=max_tokens
         )
-    except (GatewayError, RagselError) as exc:
+    except RagselError as exc:
         return CandidateBundle(qa=qa, error=f"{type(exc).__name__}: {exc}")
     if retrieved is None:
         return CandidateBundle(qa=qa, internal=internal, error="no passages retrieved")
@@ -236,60 +237,57 @@ def build(
     seed: int = 0,
     max_tokens: int = 512,
 ) -> tuple[list[PreferenceInstance], BuildReport]:
-    """Map generate (through pipeline._map_items) -> judge -> filter over the
-    QA set, judging each bundle in input order as it arrives; the llm judge
-    asks `backend`, the same backend that generated the candidates. The
-    questions are retrieved a block at a time (`index.retrieve_many`), as
-    the items are taken, so one block's hits are held at once.
+    """Generate, judge and filter each item in one step, mapped through
+    pipeline._map_items, so the llm judge's requests (to `backend`, which
+    generated the candidates) count against its in-flight cap. The questions
+    are retrieved a block at a time (`index.retrieve_many`) as the items are
+    taken, so one block's hits are held at once.
 
-    Per-item failures (generation errors, judge backend errors, unparseable
-    judge verdicts) are quarantined with reasons; the batch always completes.
-    The report carries counts for every filter outcome and the positive-source
-    split.
+    Each item ends in one outcome, named as the BuildReport count it adds
+    to: quarantined (with its reason: a generation error, a judge backend
+    error or an unparseable verdict), both_correct, both_incorrect,
+    collision_dropped, or kept_positive_<source> (with its instance). The
+    outcomes are counted in input order, and the batch always completes.
     """
-    report = BuildReport(total=len(qa_set), judge_tag=judge_mode)
-    instances: list[PreferenceInstance] = []
 
-    def candidates(item: tuple[QAPair, RetrievalResult]) -> CandidateBundle:
+    def one(item: tuple[QAPair, RetrievalResult]) -> tuple[str, PreferenceInstance | str | None]:
         qa, result = item
-        return generate_candidates(
+        bundle = generate_candidates(
             qa, result.hits, corpus, backend, prompts, rng_seed=stable_hash_int(seed, qa.id),
             max_tokens=max_tokens,
         )
-
-    retrieved = zip(qa_set, index.retrieve_many((qa.question for qa in qa_set), MAX_PASSAGES))
-    for qa, bundle in zip(qa_set, _map_items(candidates, retrieved, backend)):
         if not bundle.usable:
-            report.quarantined += 1
-            report.quarantine_reasons.append(f"{qa.id}: {bundle.error}")
-            continue
+            return "quarantined", f"{qa.id}: {bundle.error}"
         try:
-            internal_correct, grounded_correct = (
+            # The grounded answer is not judged once the internal one fails.
+            internal, grounded = [
                 judge(cand.answer, qa.golden_answers, mode=judge_mode, backend=backend)
                 for cand in (bundle.internal, bundle.grounded)
-            )
+            ]
         except (JudgeError, GatewayError) as exc:
             reason = exc if isinstance(exc, JudgeError) else f"{type(exc).__name__}: {exc}"
-            report.quarantined += 1
-            report.quarantine_reasons.append(f"{qa.id}: {reason}")
-            continue
-        judgment = Judgment(internal_correct, grounded_correct, judge_mode)
-        instance = filter_instance(bundle, judgment)
-        if instance is None:
-            if judgment.internal_correct and judgment.grounded_correct:
-                report.both_correct += 1
-            elif not judgment.internal_correct and not judgment.grounded_correct:
-                report.both_incorrect += 1
-            else:
-                report.collision_dropped += 1
-            continue
-        instance.seed = seed
-        instances.append(instance)
-        report.kept += 1
-        if instance.positive_source == SOURCE_INTERNAL:
-            report.kept_positive_internal += 1
-        else:
-            report.kept_positive_retrieval += 1
+            return "quarantined", f"{qa.id}: {reason}"
+        instance = filter_instance(bundle, Judgment(internal, grounded, judge_mode))
+        if instance is not None:
+            instance.seed = seed
+            return f"kept_positive_{instance.positive_source}", instance
+        if internal != grounded:
+            return "collision_dropped", None
+        return ("both_correct" if internal else "both_incorrect"), None
+
+    counts: Counter[str] = Counter()
+    instances: list[PreferenceInstance] = []
+    reasons: list[str] = []
+    retrieved = zip(qa_set, index.retrieve_many((qa.question for qa in qa_set), MAX_PASSAGES))
+    for outcome, detail in _map_items(one, retrieved, backend):
+        counts[outcome] += 1
+        if outcome == "quarantined":
+            reasons.append(detail)
+        elif detail is not None:
+            instances.append(detail)
+    report = BuildReport(
+        total=len(qa_set), kept=len(instances), quarantine_reasons=reasons, judge_tag=judge_mode, **counts
+    )
     return instances, report
 
 

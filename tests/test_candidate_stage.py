@@ -9,7 +9,9 @@ runs items side by side over HTTP.
 
 import hashlib
 import json
+import re
 import threading
+import time
 
 import pytest
 
@@ -225,20 +227,31 @@ def test_in_process_backend_keeps_the_serial_call_order(tmp_path):
     assert spy.prompts == [prompts.llm_only_prompt(qa.question), prompts.rag_prompt(qa.question, used)]
 
 
-def _serve_script(http_stub, backend: ScriptedBackend, delay: float = 0.0) -> None:
-    """Answer each chat request as the scripted backend would."""
+_JUDGE_PROMPT = re.compile(r"Accepted answers: (.*)\nCandidate answer: (.*)$")
+
+
+def _exact_verdict(prompt: str) -> str | None:
+    """An exact-match judge's reply to a judge prompt, or None for any other prompt."""
+    match = _JUDGE_PROMPT.search(prompt)
+    return match and ("Yes" if match[2] in match[1].split("; ") else "No")
+
+
+def _serve_script(http_stub, backend: ScriptedBackend, delay=0.0) -> None:
+    """Answer each chat request as the scripted backend would, and each judge
+    request as an exact-match judge would."""
 
     def handler(path, payload):
-        return 200, chat_body(backend.complete(GenRequest(user_prompt=payload["messages"][-1]["content"])))
+        prompt = payload["messages"][-1]["content"]
+        return 200, chat_body(_exact_verdict(prompt) or backend.complete(GenRequest(user_prompt=prompt)))
 
     http_stub.set_handler(handler, delay)
 
 
-def test_http_outputs_are_byte_identical_at_every_in_flight_cap(tmp_path, http_stub, monkeypatch):
+def test_http_outputs_are_byte_identical_at_every_in_flight_cap(tmp_path, http_stub, monkeypatch, capsys):
     qa_path, script_path, index_dir = _desk_files(tmp_path)
     _serve_script(http_stub, ScriptedBackend.from_jsonl(script_path))
     common = ["--qa", str(qa_path), "--index", str(index_dir), "--endpoint", http_stub.url]
-    hits = {}
+    hits, llm_judged = {}, {}
     for cap in (1, 2, 8):
         monkeypatch.setenv("SELECTOR_RAG_MAX_IN_FLIGHT", str(cap))
         before = http_stub.hits
@@ -249,8 +262,72 @@ def test_http_outputs_are_byte_identical_at_every_in_flight_cap(tmp_path, http_s
         argv = ["rgp", "build", *common, "--judge", "lexical", "--seed", "21", "--out", str(out)]
         assert cli_main(argv) == 0
         assert _sha256(out) == PINNED_SHA256["rgp-build"]
+        out = tmp_path / f"rgp-build-llm-{cap}.jsonl"
+        capsys.readouterr()
+        argv = ["rgp", "build", *common, "--judge", "llm", "--seed", "21", "--out", str(out)]
+        assert cli_main(argv) == 0
+        report = json.loads(capsys.readouterr().out.splitlines()[-1])["report"]
+        llm_judged[cap] = (out.read_bytes(), json.dumps(report))
         hits[cap] = http_stub.hits - before
-    assert hits[1] == hits[2] == hits[8] == 10 * 3 + 10 * 2
+    assert llm_judged[1] == llm_judged[2] == llm_judged[8]
+    # The exact-match judge agrees with the lexical one on every desk answer.
+    assert llm_judged[1][0] == (tmp_path / "rgp-build-1.jsonl").read_bytes().replace(b'"lexical"', b'"llm"')
+    # With the llm judge, two candidates and two verdicts for each item, but
+    # the replay cache answers the second verdict of the 4 items whose two
+    # answers are the same.
+    assert hits[1] == hits[2] == hits[8] == 10 * 3 + 10 * 2 + 10 * 4 - 4
+
+
+def test_llm_judge_requests_are_in_flight_together(tmp_path, http_stub, monkeypatch):
+    qa_path, script_path, index_dir = _desk_files(tmp_path)
+    judged_at = []
+
+    def delay(payload):
+        if _exact_verdict(payload["messages"][-1]["content"]) is None:
+            return 0.0
+        judged_at.append(time.monotonic())  # called in arrival order
+        return 0.1
+
+    _serve_script(http_stub, ScriptedBackend.from_jsonl(script_path), delay)
+    monkeypatch.setenv("SELECTOR_RAG_MAX_IN_FLIGHT", "4")
+    argv = ["rgp", "build", "--qa", str(qa_path), "--index", str(index_dir), "--endpoint", http_stub.url,
+            "--judge", "llm", "--out", str(tmp_path / "instances.jsonl")]
+    assert cli_main(argv) == 0
+    assert len(judged_at) == 10 * 2 - 4  # the replay cache answers 4 repeated verdicts
+    # Each judge request is in flight from its arrival until its reply, 0.1 s
+    # later; judged one at a time, each would arrive after the last reply.
+    assert min(later - earlier for earlier, later in zip(judged_at, judged_at[1:])) < 0.1
+
+
+def test_llm_judge_failures_are_quarantined_in_input_order_when_later_items_finish_first(tmp_path, http_stub):
+    corpus, index = _shared_topic(tmp_path)
+    words = ["alpha", "bravo", "charlie", "delta"]
+
+    def word_of(payload):
+        return next(w for w in words if w in payload["messages"][-1]["content"])
+
+    def handler(path, payload):
+        prompt, word = payload["messages"][-1]["content"], word_of(payload)
+        if _exact_verdict(prompt) is None:
+            answer = "right" if "using your own knowledge" in prompt else "wrong"
+            return 200, chat_body(f"Explanation: e. Answer: {answer} {word}")
+        if word == "bravo":
+            return 400, {}
+        return 200, chat_body("Maybe" if word == "charlie" else _exact_verdict(prompt))
+
+    # The earlier the item, the slower its replies: the third item's judge fails before the second's.
+    http_stub.set_handler(handler, lambda payload: 0.05 * (3 - words.index(word_of(payload))))
+    backend = HttpBackend(http_stub.url, "m", max_retries=0, max_in_flight=4)
+    qa = [QAPair(id=f"q{i}", question=f"shared topic {w}?", golden_answers=[f"right {w}"]) for i, w in enumerate(words)]
+    instances, report = rgp.build(qa, index, corpus, backend, PromptSet.default(), judge_mode=rgp.JUDGE_LLM, seed=4)
+    judged = [word_of(r) for r in http_stub.requests if _exact_verdict(r["messages"][-1]["content"])]
+    assert judged.index("charlie") < judged.index("bravo")
+    assert [i.query_id for i in instances] == ["q0", "q3"]
+    assert report.quarantine_reasons == [
+        f"q1: StatusError: HTTP 400 from {http_stub.url}",
+        "q2: judge reply carries no yes/no verdict: 'Maybe'",
+    ]
+    assert (report.quarantined, report.kept, report.kept_positive_internal) == (2, 2, 2)
 
 
 def _pool_threads() -> list[threading.Thread]:

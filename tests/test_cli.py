@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ragsel.augment import DpoPair
 from ragsel.cli import _SETTINGS, main
 from ragsel.retrieval import Bm25Index, Postings, tokenize
 
@@ -210,6 +211,44 @@ def test_malformed_input_line_exits_one_with_json_error(tmp_path, capsys, argv, 
     assert not out.exists()
 
 
+_PASSAGE_ROW = {"id": "p1", "text": "fine"}
+_SCRIPT_ROW = {"match_key": "marker1", "reply": "Explanation: e. Answer: gadget 1"}
+
+
+def _pair_row():
+    pair = DpoPair("What about marker1?", "gadget 1", "bogus 1", "chosen_first", "own_negative", ("q1", "q1"))
+    return pair.to_dict()
+
+
+@pytest.mark.parametrize(
+    "argv, first_row",
+    [
+        (["eval", "--pred", "{bad}", "--qa", "{qa}"], _RESULT_ROW),
+        (["errors", "classify", "--pred", "{bad}", "--qa", "{qa}"], _RESULT_ROW),
+        (["run", "--mode", "llm-only", "--qa", "{bad}", "--script", "{script}"], _QA_ROW),
+        (["run", "--mode", "llm-only", "--qa", "{qa}", "--script", "{bad}"], _SCRIPT_ROW),
+        (["corpus", "ingest", "--passages", "{bad}"], _PASSAGE_ROW),
+        (["rgp", "augment", "--in", "{bad}", "--k", "1"], _GOOD_INSTANCE_ROW),
+        (["dpo", "export", "--in", "{bad}"], _pair_row()),
+        (["dpo", "loss", "--in", "{bad}"], _LOGPROB_ROW),
+    ],
+    ids=["eval", "errors-classify", "run-qa", "run-script", "corpus-ingest", "rgp-augment", "dpo-export", "dpo-loss"],
+)
+def test_an_input_line_that_is_not_utf8_exits_one_with_json_error(tmp_path, capsys, argv, first_row):
+    bad, qa, script, out = (tmp_path / name for name in ("bad.jsonl", "qa.jsonl", "script.jsonl", "out"))
+    bad.write_bytes(json.dumps(first_row).encode("utf-8") + b"\n\xff\xfe{}\n")
+    _write_jsonl(qa, [_QA_ROW])
+    _write_jsonl(script, [_SCRIPT_ROW])
+    code = main([arg.format(bad=bad, qa=qa, script=script) for arg in argv] + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    last = json.loads(err.strip().splitlines()[-1])
+    assert last == {"error": "MalformedRecordError", "message": "line 2: not UTF-8 text (byte 0xff)"}
+    # No --out, and no hidden sibling of it.
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.jsonl", "qa.jsonl", "script.jsonl"]
+
+
 @pytest.mark.parametrize(
     "fewshot",
     [
@@ -218,13 +257,17 @@ def test_malformed_input_line_exits_one_with_json_error(tmp_path, capsys, argv, 
         ["not an object"] * 3,
         [{"question": "q", "explanation": "e", "answer": 5}] * 3,
         "not json",
+        b'[{"question": "q\xff"}]',
     ],
-    ids=["missing-field", "not-a-list", "item-not-an-object", "answer-int", "not-json"],
+    ids=["missing-field", "not-a-list", "item-not-an-object", "answer-int", "not-json", "not-utf8"],
 )
 def test_malformed_fewshot_file_exits_one_with_json_error(tmp_path, capsys, fewshot):
     _passages_path, qa_path, script_path = _desk_inputs(tmp_path)
     path, out = tmp_path / "fewshot.json", tmp_path / "out.jsonl"
-    path.write_text(fewshot if isinstance(fewshot, str) else json.dumps(fewshot))
+    if isinstance(fewshot, bytes):
+        path.write_bytes(fewshot)
+    else:
+        path.write_text(fewshot if isinstance(fewshot, str) else json.dumps(fewshot))
     argv = ["run", "--mode", "llm-only", "--qa", str(qa_path), "--script", str(script_path)]
     code = main(argv + ["--shots", "3", "--fewshot", str(path), "--out", str(out)])
     assert code == 1

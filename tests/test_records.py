@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ragsel.augment import AugmentReport, DpoPair
-from ragsel.data import MalformedRecordError, QAPair, encode_json, load_qa_file, write_jsonl
+from ragsel.data import MalformedRecordError, QAPair, encode_json, load_qa_file, read_jsonl, write_jsonl
 from ragsel.dpo import ExportSummary, LogProbRecord, load_logprob_file
 from ragsel.evaluation import ItemMetrics, MetricReport
 from ragsel.manifest import RunManifest
@@ -262,6 +262,29 @@ def test_qa_and_logprob_lines_are_type_checked(tmp_path, load, row, message):
     with pytest.raises(MalformedRecordError) as excinfo:
         load(path)
     assert str(excinfo.value) == f"line 1: {message}"
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_line_that_is_not_utf8_is_named_as_the_reader_numbers_lines(tmp_path, newline):
+    # Far past the first block the text reader decodes, with a valid
+    # multi-byte character on every line before the bad one.
+    path = tmp_path / "qa.jsonl"
+    row = {**_QA, "question": "naïve?"}
+    good = "".join(json.dumps({**row, "id": f"q{i}"}, ensure_ascii=False) + newline for i in range(2000))
+    path.write_bytes(good.encode("utf-8") + b'{"id": "\xe2\x28"}' + newline.encode())
+    with pytest.raises(MalformedRecordError, match=r"^line 2001: not UTF-8 text \(byte 0xe2\)$"):
+        load_qa_file(path)
+
+
+def test_the_lines_before_one_that_is_not_utf8_are_read_as_they_would_be_without_it(tmp_path):
+    # All in the text reader's first block, which fails to decode as a whole.
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"n": 1}\n\n{not json}\n\xff{}\n')
+    read = []
+    with pytest.raises(MalformedRecordError, match=r"^line 3: invalid JSON"):
+        for line_no, obj in read_jsonl(path):
+            read.append((line_no, obj))
+    assert read == [(1, {"n": 1})]
 
 
 def test_logprobs_given_as_json_integers_read_as_floats(tmp_path):
