@@ -2,15 +2,17 @@
 find the K most similar other queries and adopt both of their responses as
 extra negatives, giving up to 2K+1 training pairs per instance. Similarity
 is the cosine between the queries' token-count vectors, scored over shared
-CSR postings (`retrieval.Postings`).
+CSR postings (`retrieval.Postings`) a block of queries per call, as many as
+`Bm25Index.retrieve_many` puts in one block.
 
 Each pair's prompt is the selection prompt used at inference
 (pipeline.select_prompt), with the chosen and rejected responses as its two
-candidates in a per-pair random order. A pair keeps its question and renders
-that prompt only when it is written, and augment_dataset renders each
-instance's two responses once, so every pair that uses a response shares one
-string. A mined negative whose answer normalizes equal to the instance's
-positive is dropped rather than kept as a self-contradictory pair.
+candidates in a per-pair random order. A pair keeps its question, not its
+prompt, and augment_dataset renders each instance's two responses once, so
+every pair that uses a response shares one string. It emits an instance's
+pairs one after another, so the export encodes each of those strings once
+per instance. A mined negative whose answer normalizes equal to the
+instance's positive is dropped rather than kept as a self-contradictory pair.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .data import FieldTypeError, Record, stable_hash_int
 from .errors import RagselError
 from .evaluation import normalize
 from .pipeline import render_response, select_prompt, select_question
-from .retrieval import Postings, tokenize, top_k_positions
+from .retrieval import Postings, _queries_per_block, tokenize, top_k_positions
 from .rgp import PreferenceInstance
 
 ORDER_CHOSEN_FIRST = "chosen_first"
@@ -136,19 +138,27 @@ def mine_neighbors(dataset: Sequence[PreferenceInstance], k: int) -> dict[str, N
     m = len(dataset)
     tokens = [tokenize(inst.query) for inst in dataset]
     postings = Postings.build(tokens)
-    # Integer squared norms, so sqrt rounds exactly as in _cosine_counts.
+    # Integer squared norms, so sqrt rounds exactly as in _cosine_counts. A
+    # query with no tokens dots 0 with every query, and a positive dot has two
+    # non-zero norms, so a norm of 0 read as 1 changes no cosine.
     norms = np.sqrt(np.bincount(postings.rows, postings.tfs * postings.tfs, minlength=m))
+    norms[norms == 0] = 1.0
     id_rank = np.empty(m, dtype=np.int64)
     id_rank[sorted(range(m), key=ids.__getitem__)] = np.arange(m)
     k = min(k, m - 1)
+    step = _queries_per_block(m)  # as many rows per scorer call as retrieve_many scores
     out: dict[str, NeighborSet] = {}
-    for i in range(m):
+    for start in range(0, m, step):
+        block = range(start, min(start + step, m))
         # Exact in float64: every dot product is an integer sum far below 2**53.
-        dots = postings.row_sums([tokens[i]], postings.tfs)[0]
-        sims = np.divide(dots, norms[i] * norms, out=np.zeros(m), where=dots > 0)
-        sims[i] = -np.inf
-        _row, best = top_k_positions(sims[None], id_rank, k, -np.inf)
-        out[ids[i]] = NeighborSet(query_id=ids[i], neighbors=[(ids[j], float(sims[j])) for j in best])
+        sims = postings.row_sums(tokens[start:block.stop], postings.tfs)
+        sims /= norms[start:block.stop, None] * norms
+        sims[np.arange(len(block)), block] = -np.inf
+        # k < m and every other query scores >= 0, so each row has exactly k.
+        rows, cols = top_k_positions(sims, id_rank, k, -np.inf)
+        hits = list(zip(map(ids.__getitem__, cols.tolist()), sims[rows, cols].tolist()))
+        for r, i in enumerate(block):
+            out[ids[i]] = NeighborSet(query_id=ids[i], neighbors=hits[r * k:(r + 1) * k])
     return out
 
 

@@ -11,9 +11,10 @@ computed in double precision through the stable softplus, so it stays finite
 for margins far beyond anything training produces. Log-probabilities arrive
 from files written by external scoring runs; nothing here tokenizes or runs
 a model, and gradient training is left to whatever trainer consumes the
-exported JSONL. `export_training_file` checks that file at a hidden sibling
-and renames it into place only then (`data.staged`), so it is there whole or
-not at all.
+exported JSONL. `export_training_file` builds each line from the JSON
+encodings of its strings, encoded once per instance, checks the file at a
+hidden sibling and renames it into place only then (`data.staged`), so it is
+there whole or not at all.
 """
 
 from __future__ import annotations
@@ -21,12 +22,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .augment import ORDER_CHOSEN_FIRST, ORDER_REJECTED_FIRST, DpoPair
-from .data import MalformedRecordError, Record, iter_records, read_records, staged, write_jsonl
+from .data import MalformedRecordError, Record, encode_json, iter_records, read_records, staged, write_atomic
 from .errors import RagselError
 from .evaluation import normalize
+from .pipeline import fill_template, load_template
 
 
 class DpoError(RagselError):
@@ -101,7 +103,19 @@ def dataset_loss(
 
 
 def load_logprob_file(path: str | Path) -> list[LogProbRecord]:
-    return read_records(path, LogProbRecord.from_dict)
+    """The records of a log-prob file. A `pair_id` that an earlier line holds
+    is a MalformedRecordError naming the line: its pair would count twice in
+    the mean."""
+    seen: set[str] = set()
+
+    def parse(obj: dict) -> LogProbRecord:
+        record = LogProbRecord.from_dict(obj)
+        if record.pair_id in seen:
+            raise ValueError(f"duplicate pair_id {record.pair_id!r}")
+        seen.add(record.pair_id)
+        return record
+
+    return read_records(path, parse)
 
 
 @dataclass
@@ -119,14 +133,45 @@ def _validate_pair(pair: DpoPair, ordinal: int) -> None:
         raise DpoError(f"{label}: unknown order {pair.order!r}")
 
 
+def _lines(pairs: Sequence[DpoPair]) -> Iterator[str]:
+    """`encode_json(pair.to_dict()) + "\n"` for each pair, built from the JSON
+    encodings of its strings. JSON escapes a string one character at a time,
+    and escapes no character of a `{key}` placeholder, so the encoding of a
+    prompt is the encoded selection template filled with the encoded question
+    and candidates. Each string is encoded once for all the pairs of its
+    instance (`source_query_ids[0]`): augment writes an instance's pairs one
+    after another, and `enc` holds only the strings of the instance being
+    written."""
+    template = encode_json(load_template("select"))[1:-1]
+    enc, instance = _Encodings(), None
+    for pair in pairs:
+        own, origin = pair.source_query_ids
+        if own != instance:
+            enc.clear()
+            instance = own
+        first, second = pair.candidates
+        prompt = fill_template(template, question=enc[pair.query], candidate_1=enc[first], candidate_2=enc[second])
+        yield (f'{{"prompt": "{prompt}", "chosen": "{enc[pair.chosen]}", "rejected": "{enc[pair.rejected]}", '
+               f'"order": "{enc[pair.order]}", "negative_origin": "{enc[pair.negative_origin]}", '
+               f'"source_query_ids": ["{enc[own]}", "{enc[origin]}"]}}\n')
+
+
+class _Encodings(dict):
+    """A string's JSON encoding without its quotes, encoded on first use."""
+
+    def __missing__(self, text: str) -> str:
+        encoded = self[text] = encode_json(text)[1:-1]
+        return encoded
+
+
 def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> ExportSummary:
     """Validate every pair, write the JSONL at a hidden sibling of
     `out_path`, re-read it as a final check, and only then rename it over
     `out_path` (`data.staged`).
 
-    Each line's prompt is rendered from its pair as it is written, so it is
-    the packaged selection prompt with chosen and rejected in the recorded
-    order; `load_pairs` refuses a line whose prompt is not.
+    Each line is `encode_json(pair.to_dict())`, built by `_lines`, so its
+    prompt is the packaged selection prompt with chosen and rejected in the
+    recorded order; `load_pairs` refuses a line whose prompt is not.
     Any invariant violation aborts before a single line is written.
     The check decodes the written lines one at a time, each compared with the
     pair it was written from, so it holds no second copy of the pairs.
@@ -137,7 +182,7 @@ def export_training_file(pairs: Sequence[DpoPair], out_path: str | Path) -> Expo
         _validate_pair(pair, ordinal)
     out = Path(out_path)
     with staged(out) as tmp:
-        write_jsonl(tmp, (pair.to_dict() for pair in pairs))
+        write_atomic(tmp, _lines(pairs))
         read = 0
         try:
             for read, decoded in enumerate(iter_records(tmp, DpoPair.from_dict), start=1):

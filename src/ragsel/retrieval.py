@@ -137,10 +137,10 @@ class Postings:
         `row + b * len(lengths)`). A token that no row holds adds nothing."""
         n, term_id, ptr = len(self.lengths), self._term_id, self.term_ptr
         if len(token_lists) == 1:
-            # One list (mining's rows; retrieve_many's blocks over more than
-            # SCORE_BUDGET // 2 passages) copies its postings by slices: for
-            # long posting lists, contiguous copies beat the position-array
-            # gather below. Same sums, in the same order.
+            # One list (a block of one, as retrieve_many's and mining's are
+            # over more than SCORE_BUDGET // 2 rows) copies its postings by
+            # slices: for long posting lists, contiguous copies beat the
+            # position-array gather below. Same sums, in the same order.
             spans = [slice(ptr[t], ptr[t + 1]) for t in map(term_id.get, token_lists[0]) if t is not None]
             rows = np.concatenate([_NO_ROWS, *(self.rows[span] for span in spans)])
             values = np.concatenate([_NO_WEIGHTS, *(weights[span] for span in spans)])

@@ -17,6 +17,7 @@ from ragsel.augment import (
     mine_neighbors,
     similarity,
 )
+from ragsel.retrieval import _queries_per_block
 from ragsel.rgp import PreferenceInstance, Response
 
 
@@ -141,6 +142,33 @@ class TestMineNeighbors:
                 assert all(not math.isnan(sim) for _qid, sim in got)
                 if not inst.query.strip("?!"):
                     assert {sim for _qid, sim in got} == {0.0}
+
+    def test_brute_force_oracle_across_block_edges(self):
+        """Mining scores a block of rows per call: the lists match the oracle
+        over several blocks and a ragged last one, with an empty query and a
+        repeated text on either side of a block edge, and ties across blocks."""
+        import random
+
+        rng = random.Random(35)
+        m = 300
+        step = _queries_per_block(m)
+        assert m // step >= 2 and m % step  # at least three blocks, the last one short
+        words = [f"w{i}" for i in range(5)]  # small vocab: ties cross blocks
+        texts = [" ".join(rng.choices(words, k=rng.randint(1, 4))) for _ in range(m)]
+        texts[step - 2], texts[step + 1] = "", "?!"
+        texts[step - 1] = texts[step] = texts[2 * step] = "w0 w1 w1"
+        ids = [f"q{i:03d}" for i in range(m)]
+        rng.shuffle(ids)  # id order, the tie-break, is not row order
+        dataset = [_instance(qid, text) for qid, text in zip(ids, texts)]
+        neighbor_map = mine_neighbors(dataset, k=4)
+        for inst in dataset:
+            sims = [
+                (other.query_id, similarity(inst.query, other.query))
+                for other in dataset
+                if other.query_id != inst.query_id
+            ]
+            sims.sort(key=lambda item: (-item[1], item[0]))
+            assert neighbor_map[inst.query_id].neighbors == sims[:4]
 
 
 class TestExpand:

@@ -700,6 +700,16 @@ class TestRgpAndDpoCommands:
         assert abs(payload["mean_loss"] - 0.6931471805599453) < 1e-12
         assert payload["n"] == 1
 
+    def test_dpo_loss_refuses_a_repeated_pair_id(self, tmp_path, capsys):
+        """A pair scored on two lines would count twice in the mean."""
+        logprobs, out = tmp_path / "lp.jsonl", tmp_path / "loss.json"
+        _write_jsonl(logprobs, [_LOGPROB_ROW, {**_LOGPROB_ROW, "pair_id": "p2"},
+                                {**_LOGPROB_ROW, "logp_policy_chosen": -0.5}])
+        assert main(["dpo", "loss", "--in", str(logprobs), "--out", str(out)]) == 1
+        last = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert last == {"error": "MalformedRecordError", "message": "line 3: duplicate pair_id 'p1'"}
+        assert not out.exists()
+
 
 class TestHttpBackendThroughCli:
     def test_run_with_endpoint_and_cache(self, tmp_path, http_stub, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import ragsel.dpo as dpo_module
 from ragsel.augment import DpoPair
-from ragsel.data import MalformedRecordError, write_jsonl
+from ragsel.data import MalformedRecordError, encode_json, write_jsonl
 from ragsel.dpo import (
     DpoConfig,
     DpoError,
@@ -195,7 +195,45 @@ _PROMPT_TEXT = st.lists(
 ).map("".join)
 
 
+# Text JSON escapes, or that JSON writes as it is though other encoders do not.
+_JSON_TEXT = st.lists(
+    st.one_of(
+        _PROMPT_TEXT,
+        st.sampled_from(['"', "\\", "\\u0041", "\x00", "\n", "\r", "\t", "\x1f", "\x7f", "\u2028", "\u2029",
+                         "\U0001f600", "\U00010000", "Candidate 1:\n", "Two candidate responses"]),
+    ),
+    max_size=4,
+).map("".join)
+
+
+@st.composite
+def _instance_pairs(draw):
+    """Pairs in runs of one instance each, drawing their strings from a small
+    pool so that one string recurs within and across instances."""
+    pool = draw(st.lists(_JSON_TEXT, min_size=2, max_size=5))
+    text = st.sampled_from(pool)
+    pairs = []
+    for own in draw(st.lists(st.sampled_from(["q0", "q1", 'q"2\\', "q\u2028"]), min_size=1, max_size=4)):
+        query, chosen = draw(text), draw(text)
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            pairs.append(DpoPair(query=query, chosen=chosen, rejected=draw(text),
+                                 order=draw(st.sampled_from(["chosen_first", "rejected_first"])),
+                                 negative_origin="own_negative", source_query_ids=(own, draw(text))))
+    return pairs
+
+
 class TestExport:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_instance_pairs())
+    def test_each_line_is_the_json_encoding_of_its_pair(self, pairs):
+        pairs = [pair for pair in pairs if normalize(pair.chosen) != normalize(pair.rejected)]
+        assume(pairs)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "pairs.jsonl"
+            export_training_file(pairs, out)
+            written = out.read_bytes()
+        assert written == "".join(encode_json(pair.to_dict()) + "\n" for pair in pairs).encode("utf-8")
+
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(_PROMPT_TEXT, _PROMPT_TEXT, _PROMPT_TEXT, st.sampled_from(["chosen_first", "rejected_first"]))
     def test_the_question_reads_back_from_any_prompt(self, query, chosen, rejected, order):
@@ -300,7 +338,8 @@ class TestExport:
         ids=["one-line-altered", "one-line-lost", "one-line-added", "one-response-altered"],
     )
     def test_a_file_altered_between_write_and_check_is_refused(self, tmp_path, monkeypatch, alter, message):
-        monkeypatch.setattr(dpo_module, "write_jsonl", lambda path, rows: write_jsonl(path, alter(list(rows))))
+        monkeypatch.setattr(dpo_module, "write_atomic",
+                            lambda path, lines: write_jsonl(path, alter([json.loads(line) for line in lines])))
         out = tmp_path / "pairs.jsonl"
         with pytest.raises(DpoError, match=f"re-read validation failed: {message}"):
             export_training_file([_pair(i) for i in range(3)], out)

@@ -268,8 +268,8 @@ def _rerun_from_cache(w: Path):
 def inputs(tmp_path_factory):
     """The commands' inputs: corpus A and corpus C, whose passages have the
     same ids and token counts with the texts swapped, and a four-question QA
-    set with its corpus, index, script and instances, two pair files and two
-    results files."""
+    set with its corpus, index, script and instances, two pair files, two
+    results files and two log-prob files."""
     w = tmp_path_factory.mktemp("staged") / "inputs"
     w.mkdir()
     _write_jsonl(w / "a.jsonl", [{"id": "a1", "text": "apple pie recipe"}, {"id": "a2", "text": "pear tart"}])
@@ -289,6 +289,10 @@ def inputs(tmp_path_factory):
             {"match_key": f"two candidate responses&&marker{i}", "reply": f"Explanation: s. Answer: gadget {i}"},
         ]
     _write_jsonl(w / "script.jsonl", script)
+    logprobs = [{"pair_id": f"p{i}", "logp_policy_chosen": -1.0 - i, "logp_ref_chosen": -2.0,
+                 "logp_policy_rejected": -3.0, "logp_ref_rejected": -2.5} for i in range(3)]
+    _write_jsonl(w / "lp-old.jsonl", logprobs[:2])
+    _write_jsonl(w / "lp-new.jsonl", logprobs)
     for command in (
         "corpus ingest --passages passages.jsonl --out corpus",
         "index build --corpus corpus --out index",
@@ -329,6 +333,10 @@ _CASES = {
     "dpo-export": (
         ["dpo export --in pairs-old.jsonl --out train.jsonl"], "dpo export --in pairs-new.jsonl --out train.jsonl",
         ["train.jsonl", "train.jsonl.manifest.json"], _reader("train.jsonl", _pairs),
+    ),
+    "dpo-loss-out": (
+        ["dpo loss --in lp-old.jsonl --out loss.json"], "dpo loss --in lp-new.jsonl --out loss.json",
+        ["loss.json", "loss.json.manifest.json"], _reader("loss.json", lambda path: json.loads(path.read_text())),
     ),
     "eval-out": (
         ["eval --pred r-old.jsonl --qa qa-old.jsonl --out report.json"],
